@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,18 +22,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ramfed.experiments import load_config, run_experiment
 from ramfed.risk import RiskConfig
-from ramfed.training import TrainConfig
 
 
 def neutral_variant(cfg):
     cfg.resolved["risk"]["alpha"] = "1.0"
     cfg.resolved["risk"]["gamma"] = "1.0"
-    cfg.train = TrainConfig(
-        arch=cfg.train.arch, num_users=cfg.train.num_users,
-        global_rounds=cfg.train.global_rounds, local_epochs=cfg.train.local_epochs,
-        batch_size=cfg.train.batch_size, lr_theta=cfg.train.lr_theta,
-        lr_t=cfg.train.lr_t, risk=RiskConfig(1.0, 1.0), seeds=cfg.train.seeds,
-    )
+    cfg.train = replace(cfg.train, risk=RiskConfig(1.0, 1.0))
     cfg.output_dir = cfg.output_dir.with_name(cfg.output_dir.name + "_neutral")
     return cfg
 

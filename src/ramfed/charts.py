@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .models import ModelParams, forward
+from .models import ModelParams, atomic_write, forward
 
 WIDTH = 640
 HEIGHT = 420
@@ -117,7 +117,7 @@ def line_chart(path, xs, series: dict[str, np.ndarray], title: str,
             f'<text x="{WIDTH - 152}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    _write(path, parts)
+    atomic_write(path, "\n".join(parts) + "\n")
 
 
 def bar_chart(path, values, title: str, xlabel: str, ylabel: str) -> None:
@@ -135,7 +135,7 @@ def bar_chart(path, values, title: str, xlabel: str, ylabel: str) -> None:
             f'height="{HEIGHT - PAD - top:.2f}" fill="{PALETTE[0]}"/>'
         )
     parts.append("</svg>")
-    _write(path, parts)
+    atomic_write(path, "\n".join(parts) + "\n")
 
 
 def decision_boundary_chart(path, params: ModelParams, dataset: Dataset,
@@ -170,9 +170,5 @@ def decision_boundary_chart(path, params: ModelParams, dataset: Dataset,
             f'fill="{PALETTE[int(label) % len(PALETTE)]}" stroke="black" stroke-width="0.4"/>'
         )
     parts.append("</svg>")
-    _write(path, parts)
+    atomic_write(path, "\n".join(parts) + "\n")
 
-
-def _write(path, parts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")

@@ -13,8 +13,7 @@ import configparser
 import csv
 import hashlib
 import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import charts
 from .channel import GEOMETRIC, TAIL_THREE, make_ram, skewed_weights
 from .data import Dataset, PartitionSpec, gen_synthetic_2d, load_idx_dataset, partition_heterogeneous
-from .models import LOGREG, MLP, ModelArch, save_params
+from .models import LOGREG, MLP, ModelArch, atomic_write as atomic_write_text, save_params
 from .risk import RiskConfig
 from .training import DivergenceError, RunHistory, Seeds, TrainConfig, train
 
@@ -237,28 +236,13 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
     if seed_override is not None:
         derived = np.random.SeedSequence(seed_override).generate_state(5)
         seeds = Seeds(int(derived[0]), int(derived[1]), int(derived[2]))
-        partition = PartitionSpec(
-            partition.num_users,
-            partition.frequent_fraction,
-            partition.frequent_pattern_fraction,
-            seed=int(derived[3]),
-        )
+        partition = replace(partition, seed=int(derived[3]))
         part_sec["seed"] = str(partition.seed)
+        # Synthetic data is drawn from `seed`; IDX data is subsampled by `subset_seed`.
+        data_key = "seed" if dataset.kind == SYNTHETIC else "subset_seed"
         data_seed = int(derived[4])
-        if dataset.kind == SYNTHETIC:
-            dataset = DatasetConfig(
-                kind=dataset.kind, num_classes=dataset.num_classes,
-                per_class=dataset.per_class, spread=dataset.spread,
-                seed=data_seed, test_per_class=dataset.test_per_class,
-            )
-            ds_sec["seed"] = str(data_seed)
-        else:
-            dataset = DatasetConfig(
-                kind=dataset.kind, num_classes=dataset.num_classes,
-                dir=dataset.dir, subset=dataset.subset,
-                test_subset=dataset.test_subset, subset_seed=data_seed,
-            )
-            ds_sec["subset_seed"] = str(data_seed)
+        dataset = replace(dataset, **{data_key: data_seed})
+        ds_sec[data_key] = str(data_seed)
         train_sec["init_seed"] = str(seeds.init)
         train_sec["ram_seed"] = str(seeds.ram)
         train_sec["shuffle_seed"] = str(seeds.shuffle)
@@ -342,19 +326,6 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[list[Dataset], Dataset, Datas
 # ---------------------------------------------------------------------------
 # Artifacts
 # ---------------------------------------------------------------------------
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def metrics_header(num_classes: int) -> list[str]:
     return (
@@ -540,22 +511,14 @@ def sweep(config_path, alphas, gammas, repeats: int,
                 cfg = load_config(config_path, seed_override=cell_seed)
                 cfg.resolved["risk"]["alpha"] = repr(float(alpha))
                 cfg.resolved["risk"]["gamma"] = repr(float(gamma))
-                cfg.train = TrainConfig(
-                    arch=cfg.train.arch,
-                    num_users=cfg.train.num_users,
-                    global_rounds=cfg.train.global_rounds,
-                    local_epochs=cfg.train.local_epochs,
-                    batch_size=cfg.train.batch_size,
-                    lr_theta=cfg.train.lr_theta,
-                    lr_t=cfg.train.lr_t,
-                    risk=RiskConfig(alpha=float(alpha), gamma=float(gamma)),
-                    seeds=cfg.train.seeds,
-                )
+                cfg.train = replace(cfg.train, risk=RiskConfig(float(alpha), float(gamma)))
                 cfg.output_dir = out_root / f"alpha_{alpha}_gamma_{gamma}" / f"rep_{rep}"
                 try:
                     artifacts = run_experiment(cfg)
                 except (DivergenceError, FileNotFoundError):
                     failures += 1
+                    continue
+                if not artifacts.history.evals:  # zero rounds: nothing was evaluated
                     continue
                 final = artifacts.history.evals[-1]
                 overall.append(final.overall_acc)

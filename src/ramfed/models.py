@@ -9,8 +9,11 @@ gradients are validated against :func:`finite_diff_grad` in the test suite.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -126,20 +129,23 @@ def split_layers(arch: ModelArch, values: np.ndarray) -> list[tuple[np.ndarray, 
     return layers
 
 
+def _forward_pass(layers: list[tuple[np.ndarray, np.ndarray]],
+                  features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input to each weight layer and the logits; ReLU on hidden layers."""
+    features = np.asarray(features, dtype=np.float64)
+    fan_in = layers[0][0].shape[0]
+    if features.ndim != 2 or features.shape[1] != fan_in:
+        raise ValueError(f"feature matrix must be (rows, {fan_in}), got shape {features.shape}")
+    activations = [features]
+    for w, b in layers[:-1]:
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    return activations, activations[-1] @ w + b
+
+
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits for a feature matrix; ReLU on hidden layers."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.arch.input_dim:
-        raise ValueError(
-            f"feature matrix must be (rows, {params.arch.input_dim}), "
-            f"got shape {features.shape}"
-        )
-    layers = split_layers(params.arch, params.values)
-    a = features
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-    w, b = layers[-1]
-    return a @ w + b
+    return _forward_pass(split_layers(params.arch, params.values), features)[1]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -154,8 +160,8 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
     """Mean cross-entropy over the batch and its exact gradient.
 
     The gradient is taken w.r.t. the flat parameter vector and returned in
-    the same layout. Raises FloatingPointError if the result is non-finite,
-    which with log-sum-exp stabilisation only happens for non-finite inputs.
+    the same layout. Non-finite results are not checked here: the training
+    loop's per-step check turns them into a divergence.
     """
     arch = params.arch
     labels = np.asarray(batch.labels)
@@ -163,18 +169,7 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
         raise ValueError("labels out of range for the architecture")
 
     layers = split_layers(arch, params.values)
-    activations = [np.asarray(batch.features, dtype=np.float64)]
-    pre = []
-    a = activations[0]
-    if a.shape[1] != arch.input_dim:
-        raise ValueError(f"feature width {a.shape[1]} != input_dim {arch.input_dim}")
-    for w, b in layers[:-1]:
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    w, b = layers[-1]
-    logits = a @ w + b
+    activations, logits = _forward_pass(layers, batch.features)
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -193,11 +188,8 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
         grad_b = delta.sum(axis=0)
         grad_blocks[i] = (grad_w, grad_b)
         if i > 0:
-            delta = (delta @ w.T) * (pre[i - 1] > 0.0)
+            delta = (delta @ w.T) * (activations[i] > 0.0)
     grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grad_blocks])
-
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite loss or gradient")
     return loss, grad
 
 
@@ -219,6 +211,24 @@ def finite_diff_grad(params: ModelParams, batch: Batch, eps: float = 1e-5) -> np
         down = cross_entropy(forward(ModelParams(params.arch, bumped), batch.features), batch.labels)
         grad[j] = (up - down) / (2.0 * eps)
     return grad
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes through a temp file plus rename.
+
+    An interrupted write never leaves a partial file at ``path``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -244,26 +254,36 @@ def save_params(params: ModelParams, path) -> None:
     )
     header += struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims)
     header += struct.pack("<Q", params.values.size)
-    payload = params.values.astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    atomic_write(path, header + params.values.astype("<f8").tobytes())
+
+
+def _unpack(fmt: str, blob: bytes, offset: int) -> tuple[tuple, int]:
+    """Fields of ``fmt`` at ``offset`` and the offset just past them."""
+    end = offset + struct.calcsize(fmt)
+    if len(blob) < end:
+        raise ValueError(f"truncated snapshot: needs {end} bytes, ends at offset {len(blob)}")
+    return struct.unpack_from(fmt, blob, offset), end
 
 
 def load_params(path) -> ModelParams:
+    """Read a snapshot written by :func:`save_params`.
+
+    Any malformed file raises ValueError; header faults name the offset.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _SNAPSHOT_MAGIC:
-        raise ValueError(f"bad snapshot magic {blob[:4]!r}")
-    kind_code, input_dim, num_classes, n_hidden = struct.unpack_from("<BIII", blob, 4)
-    offset = 4 + struct.calcsize("<BIII")
-    hidden = struct.unpack_from(f"<{n_hidden}I", blob, offset)
-    offset += 4 * n_hidden
-    (n_values,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    arch = ModelArch(_KIND_NAMES[kind_code], input_dim, num_classes, tuple(hidden))
+        raise ValueError(f"bad snapshot magic {blob[:4]!r} (offset 0)")
+    (kind_code, input_dim, num_classes, n_hidden), offset = _unpack("<BIII", blob, 4)
+    if kind_code not in _KIND_NAMES:
+        raise ValueError(f"unknown model kind byte {kind_code} (offset 4)")
+    hidden, offset = _unpack(f"<{n_hidden}I", blob, offset)
+    (n_values,), offset = _unpack("<Q", blob, offset)
+    arch = ModelArch(_KIND_NAMES[kind_code], input_dim, num_classes, hidden)
     if arch.num_params != n_values:
         raise ValueError(f"snapshot holds {n_values} values, architecture needs {arch.num_params}")
+    if len(blob) != offset + 8 * n_values:
+        raise ValueError(f"payload of {n_values} values from offset {offset} "
+                         f"does not end the file at offset {len(blob)}")
     values = np.frombuffer(blob, dtype="<f8", count=n_values, offset=offset).astype(np.float64)
-    if blob[offset + 8 * n_values :]:
-        raise ValueError("trailing bytes after parameter payload")
     return ModelParams(arch, values)

@@ -26,7 +26,7 @@ INITIAL_THRESHOLD = 0.0  # below ln C, so the hinge is active from the start
 
 
 class DivergenceError(RuntimeError):
-    """Parameters went non-finite; carries where, plus the partial history."""
+    """A step's loss or parameters went non-finite; carries where, plus the partial history."""
 
     def __init__(self, round_index: int, user_id: int, epoch: int):
         super().__init__()
@@ -37,7 +37,7 @@ class DivergenceError(RuntimeError):
 
     def __str__(self) -> str:
         return (
-            f"non-finite parameters at round {self.round_index}, "
+            f"non-finite loss or parameters at round {self.round_index}, "
             f"user {self.user_id}, epoch {self.epoch}"
         )
 
@@ -146,20 +146,23 @@ def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
     Both gradients of a step are evaluated at the same pre-step point, so
     theta and t move simultaneously. Deterministic given the config seeds;
     ``epoch_offset`` keys the shuffle so batch order differs across rounds.
+    The broadcast is validated once, by the copy; each step then checks the
+    batch loss, t and theta for finiteness, the run's one divergence check.
     """
-    theta = theta_in.values.copy()
+    params = theta_in.copy()
+    theta = params.values
     t = t_in
     seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
     batch_size = min(cfg.batch_size, len(shard.data))
     for epoch in range(cfg.local_epochs):
         for batch in batches(shard.data, batch_size, seed, epoch_offset + epoch):
-            f, grad_f = loss_and_grad(ModelParams(shard.params.arch, theta), batch)
+            f, grad_f = loss_and_grad(params, batch)
             grad_theta, grad_t = composite_grads(f, grad_f, t, cfg.risk)
             theta -= cfg.lr_theta * grad_theta
             t -= cfg.lr_t * grad_t
-            if not (np.isfinite(t) and np.all(np.isfinite(theta))):
+            if not (np.isfinite(f) and np.isfinite(t) and np.all(np.isfinite(theta))):
                 raise DivergenceError(-1, shard.user_id, epoch)
-    return ModelParams(theta_in.arch, theta), t
+    return params, t
 
 
 def shard_loss(params: ModelParams, data: Dataset) -> float:
@@ -190,11 +193,6 @@ def evaluate(params: ModelParams, test: Dataset) -> Metrics:
     return Metrics(float(correct.mean()), per_class)
 
 
-def _update_one(user: UserShard, theta_g: ModelParams, t_g: float,
-                cfg: TrainConfig, epoch_offset: int):
-    return local_update(user, theta_g, t_g, cfg, epoch_offset)
-
-
 def run_round(state: GlobalState, channel, cfg: TrainConfig, workers: int = 1) -> GlobalState:
     """One global round: relay, broadcast, parallel local updates, log.
 
@@ -214,11 +212,11 @@ def run_round(state: GlobalState, channel, cfg: TrainConfig, workers: int = 1) -
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(
-                    pool.map(lambda u: _update_one(u, theta_g, t_g, cfg, epoch_offset),
+                    pool.map(lambda u: local_update(u, theta_g, t_g, cfg, epoch_offset),
                              state.users)
                 )
         else:
-            results = [_update_one(u, theta_g, t_g, cfg, epoch_offset) for u in state.users]
+            results = [local_update(u, theta_g, t_g, cfg, epoch_offset) for u in state.users]
     except DivergenceError as err:
         err.round_index = state.round + 1
         err.history = state.history

@@ -1,7 +1,9 @@
+import pytest
+
 from ramfed.cli import check_cvar, check_grad, main
 from ramfed.data import load_csv
 
-from test_experiments import tiny_config
+from test_experiments import diverging_mlp, tiny_config
 
 
 class TestSelfChecks:
@@ -37,6 +39,13 @@ class TestCommands:
         c = (tmp_path / "s6" / "metrics.csv").read_bytes()
         assert a == b
         assert a != c
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflowing_run_exits_nonzero_with_metrics(self, tmp_path, capsys):
+        assert main(["train", str(diverging_mlp(tmp_path))]) == 1
+        assert "run diverged" in capsys.readouterr().err
+        assert (tmp_path / "run" / "metrics.csv").exists()
 
     def test_gen_data_writes_csv(self, tmp_path, capsys):
         config = tiny_config(tmp_path)

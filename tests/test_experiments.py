@@ -1,3 +1,5 @@
+import configparser
+import os
 import textwrap
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
@@ -5,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ramfed import experiments
+from ramfed import charts, experiments
+from ramfed.data import gen_synthetic_2d
 from ramfed.experiments import (
     ConfigError,
     derive_seed,
@@ -16,7 +19,7 @@ from ramfed.experiments import (
     run_experiment,
     sweep,
 )
-from ramfed.models import load_params
+from ramfed.models import LOGREG, ModelArch, init_params, load_params, save_params
 from ramfed.training import DivergenceError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -65,6 +68,24 @@ def tiny_config(tmp_path, out_name="run", rounds=12, lr_theta="0.02", extra=""):
     path = tmp_path / "config.ini"
     path.write_text(text)
     return path
+
+
+def bundled_variant(tmp_path, preset, out_name="run", **train):
+    """A bundled config with [train] overrides, writing under tmp_path."""
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read(CONFIG_DIR / f"{preset}.ini")
+    ini["train"].update(train)
+    ini["run"]["output_dir"] = str(tmp_path / out_name)
+    path = tmp_path / f"{preset}_variant.ini"
+    with open(path, "w") as fh:
+        ini.write(fh)
+    return path
+
+
+def diverging_mlp(tmp_path):
+    """synthetic_smoke as an MLP 8,8 whose logits overflow while theta is finite."""
+    return bundled_variant(tmp_path, "synthetic_smoke", model="mlp", hidden_dims="8,8",
+                           lr_theta="1e50")
 
 
 class TestLoadConfig:
@@ -235,6 +256,34 @@ class TestRunExperiment:
         assert (cfg.output_dir / "metrics.csv").exists()
 
 
+class TestAtomicArtifacts:
+    """With the rename failing, no writer leaves a file at the final path or a temp file."""
+
+    @pytest.fixture
+    def failing_rename(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", boom)
+
+    def test_snapshot(self, tmp_path, failing_rename):
+        with pytest.raises(OSError, match="rename refused"):
+            save_params(init_params(ModelArch(LOGREG, 2, 2), 1), tmp_path / "model.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("draw", [
+        lambda path: charts.line_chart(path, [1, 2], {"a": [0.5, 0.7]}, "t", "x", "y"),
+        lambda path: charts.bar_chart(path, [0.2, 0.8], "t", "x", "y"),
+        lambda path: charts.decision_boundary_chart(
+            path, init_params(ModelArch(LOGREG, 2, 2), 1),
+            gen_synthetic_2d(2, 5, 0.5, 0), grid=4),
+    ], ids=["line", "bar", "decision_boundary"])
+    def test_chart(self, tmp_path, failing_rename, draw):
+        with pytest.raises(OSError, match="rename refused"):
+            draw(tmp_path / "chart.svg")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweep:
     def test_grid_summary(self, tmp_path):
         path = tiny_config(tmp_path, rounds=6)
@@ -262,3 +311,19 @@ class TestSweep:
         (row,) = rows
         assert row["repeats"] == 2
         assert row["failures"] == 0
+
+    def test_zero_rounds_cell_is_not_a_failure(self, tmp_path):
+        path = bundled_variant(tmp_path, "synthetic_smoke", global_rounds="0")
+        (row,), summary = sweep(path, alphas=[0.1], gammas=[0.1], repeats=1,
+                                output_dir=tmp_path / "sweep")
+        assert row["failures"] == 0
+        assert np.isnan(row["overall_mean"]) and np.isnan(row["rare_class_2_mean"])
+        assert summary.read_text().splitlines()[1].split(",")[3] == "0"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflowing_cells_are_recorded_failures(self, tmp_path):
+        rows, summary = sweep(diverging_mlp(tmp_path), alphas=[0.1], gammas=[0.1, 1.0],
+                              repeats=1, output_dir=tmp_path / "sweep")
+        assert [row["failures"] for row in rows] == [1, 1]
+        assert len(summary.read_text().splitlines()) == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramfed.models import (
     LOGREG,
@@ -231,3 +233,46 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_unknown_kind_byte_names_offset(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_params(init_params(ModelArch(LOGREG, 2, 2), 1), path)
+        blob = bytearray(path.read_bytes())
+        blob[4] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="offset 4"):
+            load_params(path)
+
+    def test_truncated_header_names_offset(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_params(init_params(ModelArch(LOGREG, 2, 2), 1), path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="offset 10"):
+            load_params(path)
+
+
+def _snapshot_bytes(tmp_dir) -> bytes:
+    path = tmp_dir / "valid.bin"
+    save_params(init_params(ModelArch(MLP, 3, 2, (2, 2)), 5), path)
+    return path.read_bytes()
+
+
+class TestMalformedSnapshots:
+    """A damaged snapshot either loads or raises ValueError, nothing else."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncation_or_byte_mutation(self, tmp_path_factory, data):
+        tmp_dir = tmp_path_factory.getbasetemp()
+        blob = _snapshot_bytes(tmp_dir)
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            damaged = blob[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + blob[at + 1 :]
+        path = tmp_dir / "damaged.bin"
+        path.write_bytes(damaged)
+        try:
+            load_params(path)
+        except ValueError:
+            pass
