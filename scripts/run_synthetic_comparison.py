@@ -25,8 +25,6 @@ from ramfed.risk import RiskConfig
 
 
 def neutral_variant(cfg):
-    cfg.resolved["risk"]["alpha"] = "1.0"
-    cfg.resolved["risk"]["gamma"] = "1.0"
     cfg.train = replace(cfg.train, risk=RiskConfig(1.0, 1.0))
     cfg.output_dir = cfg.output_dir.with_name(cfg.output_dir.name + "_neutral")
     return cfg

@@ -214,6 +214,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.num_users < 2:
             raise ValueError("num_users must be >= 2")
+        if self.seed < 0:
+            raise ValueError("partition seed must be nonnegative")
         if not 0 < self.frequent_fraction < 100:
             raise ValueError("frequent_fraction must be in (0, 100)")
         if not 0 < self.frequent_pattern_fraction < 100:

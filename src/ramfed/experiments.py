@@ -1,8 +1,11 @@
 """Experiment harness: config parsing, runs, sweeps, artifact writing.
 
-Configs are INI files with sections dataset/partition/ram/train/risk/run.
-Every run writes a metrics CSV, a config echo listing all resolved values
-(including filled defaults), a final parameter snapshot, and SVG charts.
+Configs are INI files with sections dataset/partition/ram/train/risk/run,
+loaded into one typed ``ExperimentConfig``; seed overrides and sweep cells
+derive new configs from it with ``dataclasses.replace``. Every run writes a
+metrics CSV, a config echo rendered from the typed config it ran (defaults
+included; ``load_config`` reads it back to the same config), a final
+parameter snapshot, and SVG charts.
 Artifact writes go through a temp file plus rename, so an interrupted run
 never leaves a partial file at the final path.
 """
@@ -13,7 +16,7 @@ import configparser
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +57,10 @@ class DatasetConfig:
     test_subset: int = 0
     subset_seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.subset_seed < 0:
+            raise ValueError("[dataset] seed and subset_seed must be nonnegative")
+
 
 @dataclass(frozen=True)
 class RamRecipe:
@@ -72,7 +79,6 @@ class ExperimentConfig:
     eval_every: int
     smooth_window: int
     workers: int
-    resolved: dict[str, dict[str, str]]
 
 
 @dataclass
@@ -104,12 +110,6 @@ def _require(section: dict[str, str], section_name: str, key: str) -> str:
     return section[key]
 
 
-def _fill(section: dict[str, str], key: str, default) -> str:
-    if key not in section:
-        section[key] = str(default)
-    return section[key]
-
-
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
@@ -121,37 +121,44 @@ def _ints(text: str) -> tuple[int, ...]:
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and eagerly validate an experiment config.
 
-    Unknown keys or sections are rejected by name. Defaults are written back
-    into the resolved mapping so the config echo is complete. With
-    ``seed_override`` all run seeds (init/ram/shuffle, partition, dataset
-    sampling) are re-derived from the single integer.
+    Unknown keys or sections are rejected by name; a malformed or non-UTF-8
+    file, or a value its dataclass rejects, raises ``ConfigError``. With
+    ``seed_override`` the config is ``reseed``-ed from that integer. A run's
+    ``config_echo.ini`` loads back to the config the run used.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read(path)
-
-    sections: dict[str, dict[str, str]] = {}
-    for name in parser.sections():
-        if name not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        for key in parser[name]:
-            if key not in _SECTION_KEYS[name]:
-                raise ConfigError(f"[{name}] unknown key '{key}'")
-        sections[name] = dict(parser[name])
-    for name in _SECTION_KEYS:
-        sections.setdefault(name, {})
-
+    sections: dict[str, dict[str, str]] = {name: {} for name in _SECTION_KEYS}
     try:
-        return _build_config(sections, seed_override)
-    except (ValueError, KeyError) as err:
+        parser.read(path, encoding="utf-8")
+        for name in parser.sections():
+            if name not in _SECTION_KEYS:
+                raise ConfigError(f"unknown section [{name}]")
+            for key in parser[name]:
+                if key not in _SECTION_KEYS[name]:
+                    raise ConfigError(f"[{name}] unknown key '{key}'")
+            sections[name] = dict(parser[name])
+        cfg = _build_config(sections)
+        return cfg if seed_override is None else reseed(cfg, seed_override)
+    except (ValueError, KeyError, configparser.Error) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(str(err)) from err
 
 
-def _build_config(sections, seed_override) -> ExperimentConfig:
+def reseed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
+    """The config with its run seeds (init, ram, shuffle, partition, and the
+    dataset's: synthetic ``seed``, IDX ``subset_seed``) derived from one integer."""
+    words = [int(w) for w in np.random.SeedSequence(seed).generate_state(5)]
+    data_key = "seed" if cfg.dataset.kind == SYNTHETIC else "subset_seed"
+    return replace(cfg, dataset=replace(cfg.dataset, **{data_key: words[4]}),
+                   partition=replace(cfg.partition, seed=words[3]),
+                   train=replace(cfg.train, seeds=Seeds(*words[:3])))
+
+
+def _build_config(sections) -> ExperimentConfig:
     ds_sec = sections["dataset"]
     kind = _require(ds_sec, "dataset", "kind").lower()
     if kind not in (SYNTHETIC, MNIST, FASHION_MNIST):
@@ -163,19 +170,19 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
             kind=kind,
             num_classes=num_classes,
             per_class=per_class,
-            spread=float(_fill(ds_sec, "spread", 0.4)),
-            seed=int(_fill(ds_sec, "seed", 0)),
-            test_per_class=int(_fill(ds_sec, "test_per_class", per_class)),
+            spread=float(ds_sec.get("spread", 0.4)),
+            seed=int(ds_sec.get("seed", 0)),
+            test_per_class=int(ds_sec.get("test_per_class", per_class)),
         )
         input_dim = 2
     else:
         dataset = DatasetConfig(
             kind=kind,
             num_classes=10,
-            dir=_fill(ds_sec, "dir", ""),
-            subset=int(_fill(ds_sec, "subset", 0)),
-            test_subset=int(_fill(ds_sec, "test_subset", 0)),
-            subset_seed=int(_fill(ds_sec, "subset_seed", 0)),
+            dir=ds_sec.get("dir", ""),
+            subset=int(ds_sec.get("subset", 0)),
+            test_subset=int(ds_sec.get("test_subset", 0)),
+            subset_seed=int(ds_sec.get("subset_seed", 0)),
         )
         num_classes = 10
         input_dim = 784
@@ -187,12 +194,12 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
         frequent_pattern_fraction=float(
             _require(part_sec, "partition", "frequent_pattern_fraction")
         ),
-        seed=int(_fill(part_sec, "seed", 0)),
+        seed=int(part_sec.get("seed", 0)),
     )
     partition.num_frequent_classes(num_classes)
 
     ram_sec = sections["ram"]
-    ram_kind = _fill(ram_sec, "kind", EXPLICIT).lower()
+    ram_kind = ram_sec.get("kind", EXPLICIT).lower()
     if ram_kind == EXPLICIT:
         weights = _floats(_require(ram_sec, "ram", "weights"))
         if len(weights) != partition.num_users:
@@ -201,12 +208,10 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
                 f"{partition.num_users} users"
             )
         make_ram(np.asarray(weights))
-        _fill(ram_sec, "param", 0.9)
         ram = RamRecipe(EXPLICIT, weights=weights)
     elif ram_kind in (GEOMETRIC, TAIL_THREE):
-        param = float(_fill(ram_sec, "param", 0.9))
+        param = float(ram_sec.get("param", 0.9))
         skewed_weights(partition.num_users, ram_kind, param)
-        _fill(ram_sec, "weights", "")
         ram = RamRecipe(ram_kind, param=param)
     else:
         raise ConfigError(f"[ram] unknown kind '{ram_kind}'")
@@ -214,7 +219,6 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
     train_sec = sections["train"]
     model_kind = _require(train_sec, "train", "model").lower()
     if model_kind == LOGREG:
-        _fill(train_sec, "hidden_dims", "")
         arch = ModelArch(LOGREG, input_dim, num_classes)
     elif model_kind == MLP:
         hidden = _ints(_require(train_sec, "train", "hidden_dims"))
@@ -229,30 +233,16 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
     )
 
     seeds = Seeds(
-        init=int(_fill(train_sec, "init_seed", 0)),
-        ram=int(_fill(train_sec, "ram_seed", 1)),
-        shuffle=int(_fill(train_sec, "shuffle_seed", 2)),
+        init=int(train_sec.get("init_seed", 0)),
+        ram=int(train_sec.get("ram_seed", 1)),
+        shuffle=int(train_sec.get("shuffle_seed", 2)),
     )
-    if seed_override is not None:
-        derived = np.random.SeedSequence(seed_override).generate_state(5)
-        seeds = Seeds(int(derived[0]), int(derived[1]), int(derived[2]))
-        partition = replace(partition, seed=int(derived[3]))
-        part_sec["seed"] = str(partition.seed)
-        # Synthetic data is drawn from `seed`; IDX data is subsampled by `subset_seed`.
-        data_key = "seed" if dataset.kind == SYNTHETIC else "subset_seed"
-        data_seed = int(derived[4])
-        dataset = replace(dataset, **{data_key: data_seed})
-        ds_sec[data_key] = str(data_seed)
-        train_sec["init_seed"] = str(seeds.init)
-        train_sec["ram_seed"] = str(seeds.ram)
-        train_sec["shuffle_seed"] = str(seeds.shuffle)
-
     train_cfg = TrainConfig(
         arch=arch,
         num_users=partition.num_users,
         global_rounds=int(_require(train_sec, "train", "global_rounds")),
         local_epochs=int(_require(train_sec, "train", "local_epochs")),
-        batch_size=int(_fill(train_sec, "batch_size", 64)),
+        batch_size=int(train_sec.get("batch_size", 64)),
         lr_theta=float(_require(train_sec, "train", "lr_theta")),
         lr_t=float(_require(train_sec, "train", "lr_t")),
         risk=risk,
@@ -266,10 +256,9 @@ def _build_config(sections, seed_override) -> ExperimentConfig:
         ram=ram,
         train=train_cfg,
         output_dir=Path(_require(run_sec, "run", "output_dir")),
-        eval_every=int(_fill(run_sec, "eval_every", 25)),
-        smooth_window=int(_fill(run_sec, "smooth_window", 50)),
-        workers=int(_fill(run_sec, "workers", 1)),
-        resolved=sections,
+        eval_every=int(run_sec.get("eval_every", 25)),
+        smooth_window=int(run_sec.get("smooth_window", 50)),
+        workers=int(run_sec.get("workers", 1)),
     )
     if config.eval_every < 0 or config.smooth_window < 1 or config.workers < 1:
         raise ConfigError("[run] eval_every >= 0, smooth_window >= 1, workers >= 1 required")
@@ -375,11 +364,29 @@ def parse_metrics(path) -> dict[str, np.ndarray]:
 
 
 def write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
+    """Render the config as INI with the keys its dataset kind reads; floats as
+    ``str`` of the value, so ``load_config`` of the echo returns ``cfg``."""
+    ds, train, seeds = cfg.dataset, cfg.train, cfg.train.seeds
+    data_keys = (("num_classes", "per_class", "spread", "seed", "test_per_class")
+                 if ds.kind == SYNTHETIC else ("dir", "subset", "test_subset", "subset_seed"))
+    sections = {
+        "dataset": {"kind": ds.kind, **{key: getattr(ds, key) for key in data_keys}},
+        "partition": asdict(cfg.partition),
+        "ram": asdict(cfg.ram),
+        "train": {"global_rounds": train.global_rounds, "local_epochs": train.local_epochs,
+                  "batch_size": train.batch_size, "lr_theta": train.lr_theta,
+                  "lr_t": train.lr_t, "model": train.arch.kind,
+                  "hidden_dims": train.arch.hidden_dims, "init_seed": seeds.init,
+                  "ram_seed": seeds.ram, "shuffle_seed": seeds.shuffle},
+        "risk": asdict(train.risk),
+        "run": {key: getattr(cfg, key) for key in _SECTION_KEYS["run"]},
+    }
     lines: list[str] = []
-    for name in _SECTION_KEYS:
+    for name, values in sections.items():
         lines.append(f"[{name}]")
-        for key, value in sorted(cfg.resolved[name].items()):
-            lines.append(f"{key} = {value}")
+        for key, value in sorted(values.items()):
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}")
         lines.append("")
     atomic_write_text(path, "\n".join(lines))
 
@@ -485,9 +492,11 @@ def sweep(config_path, alphas, gammas, repeats: int,
           output_dir: Path | None = None) -> tuple[list[dict], Path]:
     """Grid of (alpha, gamma) cells, ``repeats`` independent runs each.
 
-    Each run gets seeds derived from (base init seed, alpha, gamma, repeat).
-    Failures do not stop the sweep; they are recorded in the summary row.
-    Returns the summary rows and the path of the written summary CSV.
+    The config is loaded once; each run is that config ``reseed``-ed from
+    (base init seed, alpha, gamma, repeat), with the cell's risk levels and
+    its own output directory. Failures do not stop the sweep; they are
+    recorded in the summary row. Returns the summary rows and the path of
+    the written summary CSV.
     """
     if not alphas or not gammas:
         raise ValueError("alpha and gamma grids must be nonempty")
@@ -507,12 +516,12 @@ def sweep(config_path, alphas, gammas, repeats: int,
             overall, rare_acc = [], {c: [] for c in rare_classes}
             failures = 0
             for rep in range(repeats):
-                cell_seed = derive_seed(base_seed, alpha, gamma, rep)
-                cfg = load_config(config_path, seed_override=cell_seed)
-                cfg.resolved["risk"]["alpha"] = repr(float(alpha))
-                cfg.resolved["risk"]["gamma"] = repr(float(gamma))
-                cfg.train = replace(cfg.train, risk=RiskConfig(float(alpha), float(gamma)))
-                cfg.output_dir = out_root / f"alpha_{alpha}_gamma_{gamma}" / f"rep_{rep}"
+                cell = reseed(base_cfg, derive_seed(base_seed, alpha, gamma, rep))
+                cfg = replace(
+                    cell,
+                    train=replace(cell.train, risk=RiskConfig(float(alpha), float(gamma))),
+                    output_dir=out_root / f"alpha_{alpha}_gamma_{gamma}" / f"rep_{rep}",
+                )
                 try:
                     artifacts = run_experiment(cfg)
                 except (DivergenceError, FileNotFoundError):

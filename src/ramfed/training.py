@@ -77,10 +77,9 @@ class TrainConfig:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr_theta < 0:
-            raise ValueError("lr_theta must be nonnegative")
-        if self.lr_t < 0:
-            raise ValueError("lr_t must be nonnegative")
+        for name in ("lr_theta", "lr_t"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass
@@ -147,21 +146,23 @@ def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
     theta and t move simultaneously. Deterministic given the config seeds;
     ``epoch_offset`` keys the shuffle so batch order differs across rounds.
     The broadcast is validated once, by the copy; each step then checks the
-    batch loss, t and theta for finiteness, the run's one divergence check.
+    batch loss, t and theta for finiteness, the run's one divergence check,
+    so NumPy's overflow and invalid-value warnings are silenced here.
     """
     params = theta_in.copy()
     theta = params.values
     t = t_in
     seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
     batch_size = min(cfg.batch_size, len(shard.data))
-    for epoch in range(cfg.local_epochs):
-        for batch in batches(shard.data, batch_size, seed, epoch_offset + epoch):
-            f, grad_f = loss_and_grad(params, batch)
-            grad_theta, grad_t = composite_grads(f, grad_f, t, cfg.risk)
-            theta -= cfg.lr_theta * grad_theta
-            t -= cfg.lr_t * grad_t
-            if not (np.isfinite(f) and np.isfinite(t) and np.all(np.isfinite(theta))):
-                raise DivergenceError(-1, shard.user_id, epoch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.local_epochs):
+            for batch in batches(shard.data, batch_size, seed, epoch_offset + epoch):
+                f, grad_f = loss_and_grad(params, batch)
+                grad_theta, grad_t = composite_grads(f, grad_f, t, cfg.risk)
+                theta -= cfg.lr_theta * grad_theta
+                t -= cfg.lr_t * grad_t
+                if not (np.isfinite(f) and np.isfinite(t) and np.all(np.isfinite(theta))):
+                    raise DivergenceError(-1, shard.user_id, epoch)
     return params, t
 
 

@@ -2,8 +2,9 @@ import pytest
 
 from ramfed.cli import check_cvar, check_grad, main
 from ramfed.data import load_csv
+from ramfed.experiments import load_config
 
-from test_experiments import diverging_mlp, tiny_config
+from test_experiments import diverging_mlp, read_echo, tiny_config
 
 
 class TestSelfChecks:
@@ -39,6 +40,16 @@ class TestCommands:
         c = (tmp_path / "s6" / "metrics.csv").read_bytes()
         assert a == b
         assert a != c
+
+    def test_echo_holds_the_output_dir_override(self, tmp_path):
+        config = tiny_config(tmp_path, rounds=2)
+        out = tmp_path / "elsewhere"
+        assert main(["train", str(config), "--seed", "5", "--output-dir", str(out)]) == 0
+        assert read_echo(out / "config_echo.ini")["run"]["output_dir"] == str(out)
+        reloaded = load_config(out / "config_echo.ini")
+        expected = load_config(config, seed_override=5)
+        expected.output_dir = out
+        assert reloaded == expected
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")

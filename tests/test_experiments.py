@@ -1,11 +1,15 @@
 import configparser
+import importlib.util
 import os
 import textwrap
+import warnings
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramfed import charts, experiments
 from ramfed.data import gen_synthetic_2d
@@ -18,11 +22,14 @@ from ramfed.experiments import (
     parse_metrics,
     run_experiment,
     sweep,
+    write_config_echo,
 )
 from ramfed.models import LOGREG, ModelArch, init_params, load_params, save_params
 from ramfed.training import DivergenceError
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
+BUNDLED = sorted(path.name for path in CONFIG_DIR.glob("*.ini"))
 
 
 def tiny_config(tmp_path, out_name="run", rounds=12, lr_theta="0.02", extra=""):
@@ -80,6 +87,12 @@ def bundled_variant(tmp_path, preset, out_name="run", **train):
     with open(path, "w") as fh:
         ini.write(fh)
     return path
+
+
+def read_echo(path):
+    echo = configparser.ConfigParser(interpolation=None)
+    assert echo.read(path, encoding="utf-8")
+    return echo
 
 
 def diverging_mlp(tmp_path):
@@ -146,11 +159,13 @@ class TestLoadConfig:
             load_config(path)
 
     def test_defaults_recorded_for_echo(self, tmp_path):
-        path = tiny_config(tmp_path)
-        cfg = load_config(path)
-        assert cfg.resolved["run"]["eval_every"] == "4"
-        assert cfg.resolved["dataset"]["test_per_class"] == "30"
-        assert cfg.resolved["train"]["hidden_dims"] == ""
+        cfg = load_config(tiny_config(tmp_path))
+        write_config_echo(cfg, tmp_path / "echo.ini")
+        echo = read_echo(tmp_path / "echo.ini")
+        assert echo["run"]["eval_every"] == "4"
+        assert echo["run"]["workers"] == "1"  # filled default
+        assert echo["dataset"]["test_per_class"] == "30"  # filled default
+        assert echo["train"]["hidden_dims"] == ""
 
     def test_seed_override_rederives_all_seeds(self, tmp_path):
         path = tiny_config(tmp_path)
@@ -161,7 +176,73 @@ class TestLoadConfig:
         assert a.train.seeds != c.train.seeds
         assert a.partition.seed == b.partition.seed
         assert a.dataset.seed == b.dataset.seed
-        assert a.resolved["train"]["init_seed"] == str(a.train.seeds.init)
+        write_config_echo(a, tmp_path / "echo.ini")
+        echo = read_echo(tmp_path / "echo.ini")
+        assert echo["train"]["init_seed"] == str(a.train.seeds.init)
+        assert echo["partition"]["seed"] == str(a.partition.seed)
+        assert echo["dataset"]["seed"] == str(a.dataset.seed)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("preset", BUNDLED)
+    def test_echo_loads_back_to_the_config(self, tmp_path, preset, seed):
+        cfg = load_config(CONFIG_DIR / preset, seed_override=seed)
+        write_config_echo(cfg, tmp_path / "echo.ini")
+        assert load_config(tmp_path / "echo.ini") == cfg
+
+    @pytest.mark.parametrize("text", [
+        "[dataset]\nkind = synthetic2d\nkind = mnist\n",
+        "[dataset]\nkind = synthetic2d\n[dataset]\nseed = 1\n",
+        "kind = synthetic2d\n[dataset]\n",
+        "[train]\nmodel\n",
+        "[dataset]\nkind = synth\xe9tic2d\n",
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-value", "not-utf8"])
+    def test_malformed_file_raises_config_error(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("old,new", [
+        ("lr_theta = 0.02", "lr_theta = nan"),
+        ("lr_theta = 0.02", "lr_theta = inf"),
+        ("lr_t = 0.002", "lr_t = nan"),
+        ("lr_t = 0.002", "lr_t = -inf"),
+        ("\nseed = 3", "\nseed = -1"),
+        ("\nseed = 2", "\nseed = -1"),
+    ], ids=["lr_theta-nan", "lr_theta-inf", "lr_t-nan", "lr_t-neg-inf",
+            "partition-seed", "dataset-seed"])
+    def test_bad_value_raises_config_error(self, tmp_path, old, new):
+        path = tiny_config(tmp_path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=new.split()[0]):
+            load_config(path)
+
+
+class TestMalformedConfigs:
+    """A damaged bundled config either loads or raises ConfigError, nothing else."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncation_line_deletion_or_byte_mutation(self, tmp_path_factory, data):
+        blob = (CONFIG_DIR / data.draw(st.sampled_from(BUNDLED), label="preset")).read_bytes()
+        how = data.draw(st.sampled_from(["truncate", "delete line", "mutate byte"]), label="how")
+        if how == "truncate":
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        elif how == "delete line":
+            lines = blob.splitlines(keepends=True)
+            at = data.draw(st.integers(0, len(lines) - 1), label="line")
+            damaged = b"".join(lines[:at] + lines[at + 1 :])
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            damaged = blob[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + blob[at + 1 :]
+        path = tmp_path_factory.getbasetemp() / "damaged.ini"
+        path.write_bytes(damaged)
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
 
 
 class TestRunExperiment:
@@ -207,7 +288,7 @@ class TestRunExperiment:
         second = run_experiment(cfg2).metrics_path.read_bytes()
         assert first == second
 
-    def test_echo_contains_every_resolved_key(self, tmp_path):
+    def test_echo_contains_every_key(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
         artifacts = run_experiment(cfg)
         echo = artifacts.echo_path.read_text()
@@ -255,6 +336,27 @@ class TestRunExperiment:
         assert (cfg.output_dir / "config_echo.ini").exists()
         assert (cfg.output_dir / "metrics.csv").exists()
 
+    def test_overflow_diverges_without_numpy_warnings(self, tmp_path):
+        cfg = load_config(diverging_mlp(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                run_experiment(cfg)
+        assert (cfg.output_dir / "metrics.csv").exists()
+
+    def test_comparison_script_neutral_run_echoes_its_config(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "run_synthetic_comparison", ROOT / "scripts" / "run_synthetic_comparison.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        cfg = script.neutral_variant(load_config(tiny_config(tmp_path, rounds=2)))
+        artifacts = run_experiment(cfg)
+        assert artifacts.output_dir == tmp_path / "run_neutral"
+        echo = read_echo(artifacts.echo_path)
+        assert echo["run"]["output_dir"] == str(tmp_path / "run_neutral")
+        assert (echo["risk"]["alpha"], echo["risk"]["gamma"]) == ("1.0", "1.0")
+        assert load_config(artifacts.echo_path) == cfg
+
 
 class TestAtomicArtifacts:
     """With the rename failing, no writer leaves a file at the final path or a temp file."""
@@ -296,6 +398,16 @@ class TestSweep:
         assert "rare_class_2_mean" in header
         for row in rows:
             assert row["overall_std"] == 0.0  # single repeat
+
+    def test_cell_echo_is_the_cell_config(self, tmp_path):
+        path = tiny_config(tmp_path, rounds=2)
+        sweep(path, alphas=[0.2], gammas=[0.1], repeats=1, output_dir=tmp_path / "sweep")
+        cell = tmp_path / "sweep" / "alpha_0.2_gamma_0.1" / "rep_0"
+        echo = read_echo(cell / "config_echo.ini")
+        assert echo["run"]["output_dir"] == str(cell)
+        assert (echo["risk"]["alpha"], echo["risk"]["gamma"]) == ("0.2", "0.1")
+        expected = load_config(path, seed_override=derive_seed(1, 0.2, 0.1, 0))
+        assert load_config(cell / "config_echo.ini").train.seeds == expected.train.seeds
 
     def test_cell_seeds_are_stable_and_distinct(self):
         a = derive_seed(7, 0.3, 0.1, 0)
