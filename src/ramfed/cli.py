@@ -100,8 +100,7 @@ def _random_instance(rng) -> tuple[ModelParams, Batch, float, RiskConfig]:
     return params, batch, float(rng.uniform(-1.0, 3.0)), cfg
 
 
-def check_grad(trials: int = 100, seed: int = 12345,
-               eps: float = 1e-6, tol: float = 1e-4) -> float:
+def check_grad(trials: int = 100, seed: int = 12345, eps: float = 1e-6) -> float:
     """Worst relative error of the composite (theta, t) gradients vs
     central differences, over random instances away from the hinge kink.
 

@@ -149,14 +149,20 @@ def load_idx_dataset(directory, split: str = "train") -> Dataset:
 # Synthetic 2-D fixture
 # ---------------------------------------------------------------------------
 
-def gen_synthetic_2d(num_classes: int, per_class: int, spread: float, seed: int) -> Dataset:
-    """Isotropic Gaussian blobs, one per class, means on a circle of radius 3."""
+def check_synthetic_2d(num_classes: int, per_class: int, spread: float,
+                       size_name: str = "per_class") -> None:
+    """The range checks on :func:`gen_synthetic_2d`'s arguments; a NaN spread fails."""
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if spread < 0:
+        raise ValueError(f"{size_name} must be >= 1")
+    if not spread >= 0:
         raise ValueError("spread must be nonnegative")
+
+
+def gen_synthetic_2d(num_classes: int, per_class: int, spread: float, seed: int) -> Dataset:
+    """Isotropic Gaussian blobs, one per class, means on a circle of radius 3."""
+    check_synthetic_2d(num_classes, per_class, spread)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import charts
 from .channel import GEOMETRIC, TAIL_THREE, make_ram, skewed_weights
-from .data import Dataset, PartitionSpec, gen_synthetic_2d, load_idx_dataset, partition_heterogeneous
+from .data import (Dataset, PartitionSpec, check_synthetic_2d, gen_synthetic_2d, load_idx_dataset,
+                   partition_heterogeneous)
 from .models import LOGREG, MLP, ModelArch, atomic_write as atomic_write_text, save_params
 from .risk import RiskConfig
 from .training import DivergenceError, RunHistory, Seeds, TrainConfig, train
@@ -60,6 +61,9 @@ class DatasetConfig:
     def __post_init__(self):
         if self.seed < 0 or self.subset_seed < 0:
             raise ValueError("[dataset] seed and subset_seed must be nonnegative")
+        if self.kind == SYNTHETIC:
+            check_synthetic_2d(self.num_classes, self.per_class, self.spread)
+            check_synthetic_2d(self.num_classes, self.test_per_class, self.spread, "test_per_class")
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,6 @@ class ExperimentConfig:
     output_dir: Path
     eval_every: int
     smooth_window: int
-    workers: int
 
 
 @dataclass
@@ -89,7 +92,6 @@ class RunArtifacts:
     snapshot_path: Path | None
     chart_paths: list[Path]
     history: RunHistory
-    ram_weights: np.ndarray
 
 
 _SECTION_KEYS = {
@@ -100,6 +102,7 @@ _SECTION_KEYS = {
     "train": {"global_rounds", "local_epochs", "batch_size", "lr_theta", "lr_t",
               "model", "hidden_dims", "init_seed", "ram_seed", "shuffle_seed"},
     "risk": {"alpha", "gamma"},
+    # `workers` is accepted and ignored: bench/workloads.py writes it into every config.
     "run": {"output_dir", "eval_every", "smooth_window", "workers"},
 }
 
@@ -239,7 +242,6 @@ def _build_config(sections) -> ExperimentConfig:
     )
     train_cfg = TrainConfig(
         arch=arch,
-        num_users=partition.num_users,
         global_rounds=int(_require(train_sec, "train", "global_rounds")),
         local_epochs=int(_require(train_sec, "train", "local_epochs")),
         batch_size=int(train_sec.get("batch_size", 64)),
@@ -258,10 +260,9 @@ def _build_config(sections) -> ExperimentConfig:
         output_dir=Path(_require(run_sec, "run", "output_dir")),
         eval_every=int(run_sec.get("eval_every", 25)),
         smooth_window=int(run_sec.get("smooth_window", 50)),
-        workers=int(run_sec.get("workers", 1)),
     )
-    if config.eval_every < 0 or config.smooth_window < 1 or config.workers < 1:
-        raise ConfigError("[run] eval_every >= 0, smooth_window >= 1, workers >= 1 required")
+    if config.eval_every < 0 or config.smooth_window < 1:
+        raise ConfigError("[run] eval_every >= 0 and smooth_window >= 1 required")
     return config
 
 
@@ -379,7 +380,7 @@ def write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
                   "hidden_dims": train.arch.hidden_dims, "init_seed": seeds.init,
                   "ram_seed": seeds.ram, "shuffle_seed": seeds.shuffle},
         "risk": asdict(train.risk),
-        "run": {key: getattr(cfg, key) for key in _SECTION_KEYS["run"]},
+        "run": {key: getattr(cfg, key) for key in ("output_dir", "eval_every", "smooth_window")},
     }
     lines: list[str] = []
     for name, values in sections.items():
@@ -452,10 +453,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     metrics_path = cfg.output_dir / "metrics.csv"
 
     try:
-        state, history = train(
-            shards, weights, cfg.train,
-            eval_data=test, eval_every=cfg.eval_every, workers=cfg.workers,
-        )
+        state, history = train(shards, weights, cfg.train, eval_data=test, eval_every=cfg.eval_every)
     except DivergenceError as err:
         if err.history is not None:
             atomic_write_text(
@@ -474,7 +472,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
         snapshot_path=snapshot_path,
         chart_paths=chart_paths,
         history=history,
-        ram_weights=weights,
     )
 
 

@@ -108,16 +108,15 @@ class Batch:
 def init_params(arch: ModelArch, seed: int) -> ModelParams:
     """Deterministic init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for fan_in, fan_out in arch.layer_dims():
-        scale = 1.0 / np.sqrt(fan_in)
-        blocks.append(rng.uniform(-scale, scale, size=fan_in * fan_out))
-        blocks.append(np.zeros(fan_out))
-    return ModelParams(arch, np.concatenate(blocks))
+    values = np.zeros(arch.num_params)
+    for w, _ in split_layers(arch, values):
+        scale = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+    return ModelParams(arch, values)
 
 
 def split_layers(arch: ModelArch, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the flat vector as per-layer (W, b) pairs."""
+    """Views of the flat vector as per-layer (W, b) pairs; the one statement of the layout."""
     layers = []
     offset = 0
     for fan_in, fan_out in arch.layer_dims():
@@ -181,15 +180,14 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
     delta = probs.copy()
     delta[rows, labels] -= 1.0
     delta /= len(batch)
-    grad_blocks = [None] * len(layers)
+    grad = np.empty(arch.num_params)
+    grad_layers = split_layers(arch, grad)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grad_w = activations[i].T @ delta
-        grad_b = delta.sum(axis=0)
-        grad_blocks[i] = (grad_w, grad_b)
+        grad_w, grad_b = grad_layers[i]
+        grad_w[...] = activations[i].T @ delta
+        grad_b[...] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ w.T) * (activations[i] > 0.0)
-    grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grad_blocks])
+            delta = (delta @ layers[i][0].T) * (activations[i] > 0.0)
     return loss, grad
 
 

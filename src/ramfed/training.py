@@ -12,7 +12,6 @@ keeps the selection distribution invisible to the training path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .channel import RandomAccessChannel, make_ram
 from .data import Dataset, batches
 from .models import ModelParams, cross_entropy, forward, init_params, loss_and_grad
-from .risk import RiskConfig, composite_grads, composite_loss
+from .risk import RiskConfig, composite_grads
 
 INITIAL_THRESHOLD = 0.0  # below ln C, so the hinge is active from the start
 
@@ -59,7 +58,6 @@ class Seeds:
 @dataclass(frozen=True)
 class TrainConfig:
     arch: ModelArch
-    num_users: int
     global_rounds: int
     local_epochs: int
     batch_size: int
@@ -69,8 +67,6 @@ class TrainConfig:
     seeds: Seeds
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
         if self.global_rounds < 0:
             raise ValueError("global_rounds must be >= 0")
         if self.local_epochs < 1:
@@ -171,17 +167,6 @@ def shard_loss(params: ModelParams, data: Dataset) -> float:
     return cross_entropy(forward(params, data.features), data.labels)
 
 
-def shard_composite_objective(params: ModelParams, t: float, data: Dataset,
-                              risk: RiskConfig) -> float:
-    """Diagnostic: the composite objective on the full-shard loss.
-
-    The training step applies the hinge per batch, which is a biased
-    estimate of this quantity; this helper evaluates the unbiased
-    full-shard form for monitoring.
-    """
-    return composite_loss(shard_loss(params, data), t, risk)
-
-
 def evaluate(params: ModelParams, test: Dataset) -> Metrics:
     """Overall and per-class argmax accuracy; absent classes report NaN."""
     predictions = forward(params, test.features).argmax(axis=1)
@@ -194,13 +179,12 @@ def evaluate(params: ModelParams, test: Dataset) -> Metrics:
     return Metrics(float(correct.mean()), per_class)
 
 
-def run_round(state: GlobalState, channel, cfg: TrainConfig, workers: int = 1) -> GlobalState:
-    """One global round: relay, broadcast, parallel local updates, log.
+def run_round(state: GlobalState, channel, cfg: TrainConfig) -> GlobalState:
+    """One global round: relay, broadcast, local updates, log.
 
     Selection happens before the round's local updates, over the pairs the
-    users forwarded at the end of the previous round. Results are identical
-    for any worker count because each user's update is a pure function of
-    its shard and the broadcast pair.
+    users forwarded at the end of the previous round. Each user's update is
+    a pure function of its shard and the broadcast pair.
     """
     candidates = [(u.params, u.t_local) for u in state.users]
     selected, (theta_g, t_g) = channel.relay(candidates)
@@ -210,14 +194,7 @@ def run_round(state: GlobalState, channel, cfg: TrainConfig, workers: int = 1) -
 
     epoch_offset = state.round * cfg.local_epochs
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda u: local_update(u, theta_g, t_g, cfg, epoch_offset),
-                             state.users)
-                )
-        else:
-            results = [local_update(u, theta_g, t_g, cfg, epoch_offset) for u in state.users]
+        results = [local_update(u, theta_g, t_g, cfg, epoch_offset) for u in state.users]
     except DivergenceError as err:
         err.round_index = state.round + 1
         err.history = state.history
@@ -240,17 +217,15 @@ def selection_frequencies(history: RunHistory, num_users: int) -> np.ndarray:
 
 
 def train(datasets: list[Dataset], ram_weights, cfg: TrainConfig,
-          eval_data: Dataset | None = None, eval_every: int = 0,
-          workers: int = 1) -> tuple[GlobalState, RunHistory]:
+          eval_data: Dataset | None = None, eval_every: int = 0) -> tuple[GlobalState, RunHistory]:
     """Run the full round loop over pre-partitioned user datasets.
 
     ``ram_weights`` is either a raw weight vector (a channel is built from
     it with the dedicated selection seed) or any object already exposing
-    ``relay``. Every user starts from the identical (theta, t) pair. The
-    returned history is a pure function of (datasets, ram_weights, cfg).
+    ``relay``; K is ``len(datasets)``, and a relay over weights for another K
+    raises ValueError. Every user starts from the identical (theta, t) pair.
+    The returned history is a pure function of (datasets, ram_weights, cfg).
     """
-    if len(datasets) != cfg.num_users:
-        raise ValueError(f"expected {cfg.num_users} shards, got {len(datasets)}")
     if hasattr(ram_weights, "relay"):
         channel = ram_weights
     else:
@@ -264,7 +239,7 @@ def train(datasets: list[Dataset], ram_weights, cfg: TrainConfig,
     state = GlobalState(0, theta0.copy(), INITIAL_THRESHOLD, users, RunHistory())
 
     for _ in range(cfg.global_rounds):
-        run_round(state, channel, cfg, workers=workers)
+        run_round(state, channel, cfg)
         due = eval_every > 0 and state.round % eval_every == 0
         final = state.round == cfg.global_rounds
         if eval_data is not None and (due or final):
@@ -275,7 +250,7 @@ def train(datasets: list[Dataset], ram_weights, cfg: TrainConfig,
                     overall_acc=metrics.overall_acc,
                     per_class_acc=metrics.per_class_acc,
                     global_t=state.t_global,
-                    selection_freq=selection_frequencies(state.history, cfg.num_users),
+                    selection_freq=selection_frequencies(state.history, len(datasets)),
                 )
             )
     return state, state.history

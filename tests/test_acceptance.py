@@ -59,7 +59,7 @@ def synthetic_run(seed: int, alpha: float, gamma: float, rounds=None):
     shards = partition_heterogeneous(data, PartitionSpec(3, 67, 67, seed=seed + 50))
     test = gen_synthetic_2d(3, fx["per_class"], fx["spread"], seed + 900001)
     cfg = TrainConfig(
-        arch=ModelArch(LOGREG, 2, 3), num_users=3,
+        arch=ModelArch(LOGREG, 2, 3),
         global_rounds=rounds or fx["rounds"], local_epochs=fx["epochs"],
         batch_size=fx["batch"], lr_theta=fx["lr_theta"], lr_t=fx["lr_t"],
         risk=RiskConfig(alpha, gamma), seeds=Seeds(seed, seed + 1, seed + 2),
@@ -119,7 +119,7 @@ def test_risk_neutral_trajectory_matches_reference_fedavg():
     shards = partition_heterogeneous(data, PartitionSpec(3, 67, 67, seed=61))
     arch = ModelArch(LOGREG, 2, 3)
     cfg = TrainConfig(
-        arch=arch, num_users=3, global_rounds=rounds, local_epochs=fx["epochs"],
+        arch=arch, global_rounds=rounds, local_epochs=fx["epochs"],
         batch_size=fx["batch"], lr_theta=fx["lr_theta"], lr_t=fx["lr_t"],
         risk=RiskConfig(1.0, 1.0), seeds=Seeds(11, 12, 13),
     )
@@ -254,14 +254,12 @@ def test_scaled_image_benchmark_trend():
                 subset_seed=cfg.dataset.subset_seed,
             )
             cfg.train = TrainConfig(
-                arch=cfg.train.arch, num_users=cfg.train.num_users,
-                global_rounds=cfg.train.global_rounds,
+                arch=cfg.train.arch, global_rounds=cfg.train.global_rounds,
                 local_epochs=cfg.train.local_epochs, batch_size=cfg.train.batch_size,
                 lr_theta=cfg.train.lr_theta, lr_t=cfg.train.lr_t,
                 risk=RiskConfig(alpha, gamma), seeds=cfg.train.seeds,
             )
             cfg.output_dir = Path("/tmp/ramfed_acceptance") / f"desk_{label}_{seed}"
-            cfg.workers = 2
             cfg.eval_every = 0  # final evaluation only
             artifacts = run_experiment(cfg)
             final = artifacts.history.evals[-1]
@@ -360,17 +358,16 @@ def test_data_plumbing():
 
 
 def test_run_determinism(tmp_path):
-    """A bundled config run twice is byte-identical; worker count is inert."""
+    """A bundled config run three times is byte-identical."""
     config = CONFIG_DIR / "synthetic_smoke.ini"
     outputs = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+    for name in ("a", "b", "c"):
         cfg = load_config(config)
         cfg.output_dir = tmp_path / name
-        cfg.workers = workers
         run_experiment(cfg)
         outputs.append((tmp_path / name / "metrics.csv").read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     report("run determinism", ok,
-           f"rerun identical: {outputs[0] == outputs[1]}, "
-           f"worker-count invariant: {outputs[0] == outputs[2]}")
+           f"second run identical: {outputs[0] == outputs[1]}, "
+           f"third run identical: {outputs[0] == outputs[2]}")
     assert ok

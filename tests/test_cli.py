@@ -51,8 +51,6 @@ class TestCommands:
         expected.output_dir = out
         assert reloaded == expected
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_overflowing_run_exits_nonzero_with_metrics(self, tmp_path, capsys):
         assert main(["train", str(diverging_mlp(tmp_path))]) == 1
         assert "run diverged" in capsys.readouterr().err

@@ -163,7 +163,7 @@ class TestLoadConfig:
         write_config_echo(cfg, tmp_path / "echo.ini")
         echo = read_echo(tmp_path / "echo.ini")
         assert echo["run"]["eval_every"] == "4"
-        assert echo["run"]["workers"] == "1"  # filled default
+        assert "workers" not in echo["run"]  # accepted and ignored
         assert echo["dataset"]["test_per_class"] == "30"  # filled default
         assert echo["train"]["hidden_dims"] == ""
 
@@ -209,8 +209,13 @@ class TestLoadConfig:
         ("lr_t = 0.002", "lr_t = -inf"),
         ("\nseed = 3", "\nseed = -1"),
         ("\nseed = 2", "\nseed = -1"),
+        ("per_class = 30", "per_class = -1"),
+        ("\nseed = 2", "\ntest_per_class = 0\nseed = 2"),
+        ("spread = 0.5", "spread = -1"),
+        ("spread = 0.5", "spread = nan"),
     ], ids=["lr_theta-nan", "lr_theta-inf", "lr_t-nan", "lr_t-neg-inf",
-            "partition-seed", "dataset-seed"])
+            "partition-seed", "dataset-seed", "per_class-negative", "test_per_class-zero",
+            "spread-negative", "spread-nan"])
     def test_bad_value_raises_config_error(self, tmp_path, old, new):
         path = tiny_config(tmp_path)
         text = path.read_text()
@@ -277,16 +282,12 @@ class TestRunExperiment:
         second = run_experiment(cfg2).metrics_path.read_bytes()
         assert first == second
 
-    def test_worker_count_leaves_metrics_unchanged(self, tmp_path):
-        path = tiny_config(tmp_path)
-        cfg1 = load_config(path)
-        cfg1.output_dir = tmp_path / "w1"
-        first = run_experiment(cfg1).metrics_path.read_bytes()
-        cfg2 = load_config(path)
-        cfg2.workers = 2
-        cfg2.output_dir = tmp_path / "w2"
-        second = run_experiment(cfg2).metrics_path.read_bytes()
-        assert first == second
+    def test_workers_key_is_accepted_and_ignored(self, tmp_path):
+        plain = run_experiment(load_config(tiny_config(tmp_path, out_name="plain")))
+        cfg = load_config(tiny_config(tmp_path, out_name="workers", extra="workers = 4"))
+        artifacts = run_experiment(cfg)
+        assert "workers" not in read_echo(artifacts.echo_path)["run"]
+        assert artifacts.metrics_path.read_bytes() == plain.metrics_path.read_bytes()
 
     def test_echo_contains_every_key(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
@@ -327,8 +328,6 @@ class TestRunExperiment:
         assert not (cfg.output_dir / "metrics.csv").exists()
         assert not list(cfg.output_dir.glob("metrics.csv.*"))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_preserves_partial_artifacts(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path, rounds=9, lr_theta="1e308"))
         with pytest.raises(DivergenceError):
@@ -432,8 +431,6 @@ class TestSweep:
         assert np.isnan(row["overall_mean"]) and np.isnan(row["rare_class_2_mean"])
         assert summary.read_text().splitlines()[1].split(",")[3] == "0"
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_overflowing_cells_are_recorded_failures(self, tmp_path):
         rows, summary = sweep(diverging_mlp(tmp_path), alphas=[0.1], gammas=[0.1, 1.0],
                               repeats=1, output_dir=tmp_path / "sweep")

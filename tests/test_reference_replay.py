@@ -3,7 +3,8 @@
 `bench/reference.py` never imports ramfed: it rebuilds the data, the
 partition, the selection stream, softmax/backprop and the composite
 (theta, t) step from the README's recipes. Here it replays the first rounds
-of each bundled synthetic preset, and the program must agree with it.
+of each bundled synthetic preset and of random tiny runs, and the program
+must agree with it.
 """
 
 import configparser
@@ -13,9 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ramfed.data import Dataset
 from ramfed.experiments import build_datasets, load_config, resolve_ram_weights
-from ramfed.training import train
+from ramfed.models import LOGREG, MLP, ModelArch
+from ramfed.risk import RiskConfig
+from ramfed.training import Seeds, TrainConfig, train
 
 from test_experiments import bundled_variant
 
@@ -84,3 +90,49 @@ def test_rounds_match_reference_replay(tmp_path, preset, rounds, train_overrides
     np.testing.assert_allclose([r.train_loss_selected for r in history.rounds], loss_ref,
                                rtol=RTOL, atol=0)
     np.testing.assert_allclose(theta, theta_ref, rtol=RTOL, atol=0)
+
+
+@st.composite
+def tiny_runs(draw):
+    """2-5 users of 1-12 rows, a logreg or small MLP, and a random TrainConfig."""
+    num_classes, input_dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shards = [(rng.standard_normal((n, input_dim)), rng.integers(0, num_classes, size=n))
+              for n in sizes]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(sizes), max_size=len(sizes)))
+    hidden = draw(st.sampled_from([(), (3,), (4, 2)]))
+    cfg = TrainConfig(
+        arch=ModelArch(MLP if hidden else LOGREG, input_dim, num_classes, hidden),
+        global_rounds=draw(st.integers(1, 6)), local_epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 12)),  # often leaves a short last batch
+        lr_theta=draw(st.floats(1e-3, 0.5)), lr_t=draw(st.floats(0.0, 0.5)),
+        risk=RiskConfig(draw(st.floats(0.05, 1.0, exclude_min=True)), draw(st.floats(0.0, 1.0))),
+        seeds=Seeds(*(draw(st.integers(0, 2**32 - 1)) for _ in range(3))),
+    )
+    return shards, np.asarray(weights), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_runs())
+def test_random_tiny_runs_match_reference_replay(run):
+    shards, weights, cfg = run
+    arch, risk, rounds = cfg.arch, cfg.risk, cfg.global_rounds
+    datasets = [Dataset(x, y, arch.num_classes) for x, y in shards]
+    state, history = train(datasets, weights, cfg)
+
+    selections = reference.replay_selections(weights / weights.sum(), cfg.seeds.ram, rounds)
+    trace, theta_ref = reference.replay_rounds(shards, {
+        "shapes": reference.layer_shapes(arch.input_dim, arch.hidden_dims, arch.num_classes),
+        "epochs": cfg.local_epochs, "batch": cfg.batch_size,
+        "lr_theta": cfg.lr_theta, "lr_t": cfg.lr_t, "alpha": risk.alpha, "gamma": risk.gamma,
+        "init_seed": cfg.seeds.init, "shuffle_seed": cfg.seeds.shuffle,
+    }, selections, rounds)
+
+    assert history.selections() == selections.tolist()
+    # |a - b| <= RTOL * (1 + |b|), the scale of the benchmark's `close`.
+    t_ref, loss_ref = (np.array(column) for column in zip(*trace))
+    np.testing.assert_allclose([r.t_global for r in history.rounds], t_ref, rtol=RTOL, atol=RTOL)
+    np.testing.assert_allclose([r.train_loss_selected for r in history.rounds], loss_ref,
+                               rtol=RTOL, atol=RTOL)
+    np.testing.assert_allclose(state.theta_global.values, theta_ref, rtol=RTOL, atol=RTOL)

@@ -15,7 +15,6 @@ from ramfed.training import (
     evaluate,
     local_update,
     selection_frequencies,
-    shard_composite_objective,
     shard_loss,
     train,
     user_shuffle_seed,
@@ -25,9 +24,9 @@ ARCH3 = ModelArch(LOGREG, 2, 3)
 
 
 def make_config(alpha=0.1, gamma=0.1, rounds=20, epochs=2, batch=32,
-                lr_theta=0.05, lr_t=0.005, users=3, seeds=(3, 7, 13), arch=ARCH3):
+                lr_theta=0.05, lr_t=0.005, seeds=(3, 7, 13), arch=ARCH3):
     return TrainConfig(
-        arch=arch, num_users=users, global_rounds=rounds, local_epochs=epochs,
+        arch=arch, global_rounds=rounds, local_epochs=epochs,
         batch_size=batch, lr_theta=lr_theta, lr_t=lr_t,
         risk=RiskConfig(alpha, gamma), seeds=Seeds(*seeds),
     )
@@ -101,7 +100,7 @@ class TestLocalUpdate:
         data = Dataset(np.array([[1.0, 2.0]]), np.array([0]), 2)
         start = ModelParams(arch, np.zeros(arch.num_params))
         cfg = make_config(alpha=0.5, gamma=0.2, epochs=1, batch=1,
-                          lr_theta=0.1, lr_t=0.01, users=1, arch=arch)
+                          lr_theta=0.1, lr_t=0.01, arch=arch)
         shard = UserShard(0, data, start.copy(), 0.3)
         out_params, out_t = local_update(shard, start, 0.3, cfg)
 
@@ -126,7 +125,7 @@ class TestLocalUpdate:
 class TestRunRound:
     def test_single_user_reduces_to_centralized(self):
         data = gen_synthetic_2d(3, 30, 0.4, 1)
-        cfg = make_config(users=1)
+        cfg = make_config()
         state, history = train([data], [1.0], cfg)
         assert all(rec.selected_user == 0 for rec in history.rounds)
 
@@ -165,18 +164,6 @@ class TestRunRound:
             assert a.t_global == b.t_global
             assert a.train_loss_selected == b.train_loss_selected
 
-    def test_worker_count_does_not_change_results(self):
-        shards, test = fig_fixture()
-        cfg = make_config(rounds=12)
-        s1, h1 = train(shards, [0.5, 0.4, 0.1], cfg, eval_data=test, eval_every=4)
-        s2, h2 = train(shards, [0.5, 0.4, 0.1], cfg, eval_data=test, eval_every=4, workers=3)
-        assert np.array_equal(s1.theta_global.values, s2.theta_global.values)
-        for a, b in zip(h1.evals, h2.evals):
-            assert a.overall_acc == b.overall_acc
-            assert np.array_equal(
-                a.per_class_acc, b.per_class_acc, equal_nan=True
-            )
-
 
 class TestTrain:
     def test_zero_rounds(self):
@@ -189,9 +176,8 @@ class TestTrain:
 
     def test_shard_count_checked(self):
         shards, _ = fig_fixture()
-        cfg = make_config(users=4)
         with pytest.raises(ValueError):
-            train(shards, [0.25] * 4, cfg)
+            train(shards, [0.25] * 4, make_config())
 
     def test_gamma_one_matches_reference_fedavg(self):
         # Independent risk-neutral reference: plain SGD on the batch loss,
@@ -223,7 +209,6 @@ class TestTrain:
         assert diff <= 1e-12
         assert state.t_global == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_error_carries_context_and_history(self):
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=1e308, rounds=5)
@@ -293,14 +278,6 @@ class TestDiagnostics:
         _, history = train(shards, ScriptedChannel([0, 0, 1, 2, 0]), cfg)
         freq = selection_frequencies(history, 3)
         np.testing.assert_allclose(freq, [0.6, 0.2, 0.2])
-
-    def test_shard_composite_objective_consistent(self):
-        shards, _ = fig_fixture()
-        params = init_params(ARCH3, 0)
-        risk = RiskConfig(0.5, 0.25)
-        f = shard_loss(params, shards[0])
-        expected = (1 - 0.25) * (0.1 + max(f - 0.1, 0.0) / 0.5) + 0.25 * f
-        assert shard_composite_objective(params, 0.1, shards[0], risk) == pytest.approx(expected)
 
     def test_equalization_tendency_across_seeds(self):
         # Risk-aware training should shrink the spread of per-user losses
