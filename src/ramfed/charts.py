@@ -140,27 +140,27 @@ def bar_chart(path, values, title: str, xlabel: str, ylabel: str) -> None:
 
 def decision_boundary_chart(path, params: ModelParams, dataset: Dataset,
                             grid: int = 100, margin: float = 1.0) -> None:
-    """Argmax regions over a 2-D bounding box plus the data points."""
+    """Argmax regions over a 2-D bounding box, one rect per horizontal run of
+    equal cells, plus the data points."""
     if dataset.features.shape[1] != 2:
         raise ValueError("decision boundaries are drawn for 2-D data only")
     x_lo, y_lo = dataset.features.min(axis=0) - margin
     x_hi, y_hi = dataset.features.max(axis=0) + margin
-    gx = np.linspace(x_lo, x_hi, grid)
-    gy = np.linspace(y_lo, y_hi, grid)
-    mesh = np.array([[x, y] for y in gy for x in gx])
-    regions = forward(params, mesh).argmax(axis=1).reshape(grid, grid)
+    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid))
+    mesh = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    colors = forward(params, mesh).argmax(axis=1).reshape(grid, grid) % len(PALETTE)
 
     cell_w = (WIDTH - 2 * PAD) / grid
     cell_h = (HEIGHT - 2 * PAD) / grid
     parts = _axes(x_lo, x_hi, y_lo, y_hi, "decision regions", "x1", "x2")
-    for gj in range(grid):
-        for gi in range(grid):
-            color = PALETTE[int(regions[gj, gi]) % len(PALETTE)]
-            px = PAD + gi * cell_w
-            py = HEIGHT - PAD - (gj + 1) * cell_h
+    for gj, row in enumerate(colors):
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        py = HEIGHT - PAD - (gj + 1) * cell_h
+        for start, end in zip(starts, [*starts[1:], grid]):
             parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{color}" fill-opacity="0.25"/>'
+                f'<rect x="{PAD + start * cell_w:.2f}" y="{py:.2f}" '
+                f'width="{(end - start) * cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" '
+                f'fill="{PALETTE[row[start]]}" fill-opacity="0.25"/>'
             )
     for (x, y), label in zip(dataset.features, dataset.labels):
         px = _scale(x, x_lo, x_hi, PAD, WIDTH - PAD)

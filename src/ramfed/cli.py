@@ -48,7 +48,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = experiments.load_config(args.config, seed_override=args.seed)
-    _, test, _ = experiments.build_datasets(cfg)
+    test = experiments.build_test_set(cfg)
     params = load_params(args.params)
     metrics = evaluate(params, test)
     per_class = " ".join(f"{a:.4f}" for a in metrics.per_class_acc)

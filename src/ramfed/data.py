@@ -290,19 +290,15 @@ def partition_heterogeneous(data: Dataset, spec: PartitionSpec) -> list[Dataset]
 # Batching
 # ---------------------------------------------------------------------------
 
-def batches(data: Dataset, batch_size: int, seed: int, epoch: int) -> list[Batch]:
-    """Seeded shuffle keyed by (seed, epoch), then contiguous chunks.
-
-    The last chunk may be short; together the chunks cover every sample
-    exactly once.
-    """
-    n = len(data)
+def batch_indices(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
+    """Contiguous chunks of a shuffle of range(n) keyed by (seed, epoch); the last may be short."""
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(n)
-    return [
-        Batch(data.features[order[start : start + batch_size]],
-              data.labels[order[start : start + batch_size]])
-        for start in range(0, n, batch_size)
-    ]
+    order = np.random.default_rng([seed, epoch]).permutation(n)
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+def batches(data: Dataset, batch_size: int, seed: int, epoch: int) -> list[Batch]:
+    """The minibatches of one epoch, in the order of :func:`batch_indices`."""
+    return [Batch(data.features[idx], data.labels[idx])
+            for idx in batch_indices(len(data), batch_size, seed, epoch)]

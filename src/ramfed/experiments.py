@@ -295,22 +295,26 @@ def _subsample(data: Dataset, size: int, seed: int) -> Dataset:
     return data.take(np.sort(order[:size]))
 
 
+def build_test_set(cfg: ExperimentConfig) -> Dataset:
+    """The test set of a config; no train data is read or generated."""
+    ds = cfg.dataset
+    if ds.kind == SYNTHETIC:
+        return gen_synthetic_2d(ds.num_classes, ds.test_per_class, ds.spread,
+                                ds.seed + _TEST_SEED_OFFSET)
+    test = load_idx_dataset(data_directory(cfg), "test")
+    return _subsample(test, ds.test_subset, ds.subset_seed + 1)
+
+
 def build_datasets(cfg: ExperimentConfig) -> tuple[list[Dataset], Dataset, Dataset]:
     """(user shards, test set, pooled train set) for a config."""
     ds = cfg.dataset
     if ds.kind == SYNTHETIC:
         pooled = gen_synthetic_2d(ds.num_classes, ds.per_class, ds.spread, ds.seed)
-        test = gen_synthetic_2d(
-            ds.num_classes, ds.test_per_class, ds.spread, ds.seed + _TEST_SEED_OFFSET
-        )
     else:
-        directory = data_directory(cfg)
-        pooled = _subsample(load_idx_dataset(directory, "train"), ds.subset, ds.subset_seed)
-        test = _subsample(
-            load_idx_dataset(directory, "test"), ds.test_subset, ds.subset_seed + 1
-        )
-    shards = partition_heterogeneous(pooled, cfg.partition)
-    return shards, test, pooled
+        pooled = _subsample(load_idx_dataset(data_directory(cfg), "train"), ds.subset,
+                            ds.subset_seed)
+    test = build_test_set(cfg)
+    return partition_heterogeneous(pooled, cfg.partition), test, pooled
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(log_norm - shifted[rows, labels]))
 
 
+def check_labels(labels: np.ndarray, arch: ModelArch) -> None:
+    """Labels must index the architecture's classes."""
+    if labels.min() < 0 or labels.max() >= arch.num_classes:
+        raise ValueError("labels out of range for the architecture")
+
+
 def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
 
@@ -164,31 +170,34 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
     """
     arch = params.arch
     labels = np.asarray(batch.labels)
-    if labels.min() < 0 or labels.max() >= arch.num_classes:
-        raise ValueError("labels out of range for the architecture")
+    check_labels(labels, arch)
+    grad = np.empty(arch.num_params)
+    loss = _loss_and_grad_into(split_layers(arch, params.values), split_layers(arch, grad),
+                               batch.features, labels)
+    return loss, grad
 
-    layers = split_layers(arch, params.values)
-    activations, logits = _forward_pass(layers, batch.features)
 
+def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.ndarray) -> float:
+    """The batch loss, with its gradient written into the ``grad_layers`` views;
+    unchecked, so the training step can call it with views made once per update."""
+    activations, logits = _forward_pass(layers, features)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    rows = np.arange(len(batch))
-    loss = float(np.mean(np.log(exp.sum(axis=1)) - shifted[rows, labels]))
+    norm = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(labels.shape[0])
+    loss = float(np.mean(np.log(norm[:, 0]) - shifted[rows, labels]))
 
-    # Backward pass; subgradient of ReLU at 0 is 0.
-    delta = probs.copy()
+    # Backward pass from the softmax probabilities; subgradient of ReLU at 0 is 0.
+    delta = exp / norm
     delta[rows, labels] -= 1.0
-    delta /= len(batch)
-    grad = np.empty(arch.num_params)
-    grad_layers = split_layers(arch, grad)
+    delta /= labels.shape[0]
     for i in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[i]
-        grad_w[...] = activations[i].T @ delta
-        grad_b[...] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
         if i > 0:
             delta = (delta @ layers[i][0].T) * (activations[i] > 0.0)
-    return loss, grad
+    return loss
 
 
 def finite_diff_grad(params: ModelParams, batch: Batch, eps: float = 1e-5) -> np.ndarray:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import RandomAccessChannel, make_ram
-from .data import Dataset, batches
-from .models import ModelParams, cross_entropy, forward, init_params, loss_and_grad
+from .data import Dataset, batch_indices
+from .models import (ModelParams, _loss_and_grad_into, check_labels, cross_entropy, forward,
+                     init_params, split_layers)
 from .risk import RiskConfig, composite_grads
 
 INITIAL_THRESHOLD = 0.0  # below ln C, so the hinge is active from the start
@@ -141,20 +142,26 @@ def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
     Both gradients of a step are evaluated at the same pre-step point, so
     theta and t move simultaneously. Deterministic given the config seeds;
     ``epoch_offset`` keys the shuffle so batch order differs across rounds.
-    The broadcast is validated once, by the copy; each step then checks the
+    The broadcast (by the copy) and the shard's labels are validated once;
+    each step runs on raw arrays, with layer views made here, and checks the
     batch loss, t and theta for finiteness, the run's one divergence check,
     so NumPy's overflow and invalid-value warnings are silenced here.
     """
     params = theta_in.copy()
     theta = params.values
     t = t_in
+    xs, ys = shard.data.features, shard.data.labels
+    check_labels(ys, params.arch)
+    layers = split_layers(params.arch, theta)
+    grad = np.empty(theta.size)
+    grad_layers = split_layers(params.arch, grad)
     seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
-    batch_size = min(cfg.batch_size, len(shard.data))
+    batch_size = min(cfg.batch_size, len(ys))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.local_epochs):
-            for batch in batches(shard.data, batch_size, seed, epoch_offset + epoch):
-                f, grad_f = loss_and_grad(params, batch)
-                grad_theta, grad_t = composite_grads(f, grad_f, t, cfg.risk)
+            for idx in batch_indices(len(ys), batch_size, seed, epoch_offset + epoch):
+                f = _loss_and_grad_into(layers, grad_layers, xs[idx], ys[idx])
+                grad_theta, grad_t = composite_grads(f, grad, t, cfg.risk)
                 theta -= cfg.lr_theta * grad_theta
                 t -= cfg.lr_t * grad_t
                 if not (np.isfinite(f) and np.isfinite(t) and np.all(np.isfinite(theta))):

@@ -1,8 +1,12 @@
+import textwrap
+
+import numpy as np
 import pytest
 
 from ramfed.cli import check_cvar, check_grad, main
-from ramfed.data import load_csv
+from ramfed.data import load_csv, write_idx
 from ramfed.experiments import load_config
+from ramfed.models import MLP, ModelArch, init_params, save_params
 
 from test_experiments import diverging_mlp, read_echo, tiny_config
 
@@ -26,6 +30,45 @@ class TestCommands:
         assert main(["eval", str(config), str(snapshot)]) == 0
         out = capsys.readouterr().out
         assert "overall accuracy" in out
+
+    def test_eval_reads_only_the_test_files(self, tmp_path, capsys):
+        # Only the t10k-* files exist: eval must not load or partition the train set.
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        idx_dir.mkdir()
+        (idx_dir / "t10k-images-idx3-ubyte").write_bytes(
+            write_idx(rng.integers(0, 256, size=(30, 28, 28))))
+        (idx_dir / "t10k-labels-idx1-ubyte").write_bytes(write_idx(np.arange(30) % 10))
+        config = tmp_path / "mnist.ini"
+        config.write_text(textwrap.dedent(f"""
+            [dataset]
+            kind = mnist
+            dir = {idx_dir}
+            test_subset = 20
+            [partition]
+            num_users = 4
+            frequent_fraction = 75
+            frequent_pattern_fraction = 80
+            [ram]
+            kind = tail_three
+            [train]
+            global_rounds = 1
+            local_epochs = 1
+            batch_size = 8
+            lr_theta = 0.01
+            lr_t = 0.001
+            model = mlp
+            hidden_dims = 5
+            [risk]
+            alpha = 0.3
+            gamma = 0.3
+            [run]
+            output_dir = {tmp_path / "run"}
+            """))
+        snapshot = tmp_path / "model.bin"
+        save_params(init_params(ModelArch(MLP, 784, 10, (5,)), 3), snapshot)
+        assert main(["eval", str(config), str(snapshot)]) == 0
+        assert "overall accuracy" in capsys.readouterr().out
 
     def test_seed_override_is_deterministic(self, tmp_path):
         config = tiny_config(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 import ramfed.training
 from ramfed.data import Dataset, PartitionSpec, batches, gen_synthetic_2d, partition_heterogeneous
-from ramfed.models import LOGREG, ModelArch, ModelParams, init_params, loss_and_grad
-from ramfed.risk import RiskConfig
+from ramfed.models import LOGREG, MLP, ModelArch, ModelParams, init_params, loss_and_grad
+from ramfed.risk import RiskConfig, composite_grads
 from ramfed.training import (
     DivergenceError,
     Seeds,
@@ -120,6 +120,59 @@ class TestLocalUpdate:
         b_params, b_t = local_update(shard, start, 0.0, cfg, epoch_offset=6)
         assert np.array_equal(a_params.values, b_params.values)
         assert a_t == b_t
+
+
+def reference_update(shard, theta_in, t_in, cfg, epoch_offset):
+    """Independent step loop over the public pieces: batches, loss_and_grad, composite_grads.
+
+    Returns ((theta, t), None), or (None, epoch) for the local epoch of the
+    first step whose loss, t or theta is non-finite.
+    """
+    theta, t = theta_in.values.copy(), t_in
+    seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
+    size = min(cfg.batch_size, len(shard.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.local_epochs):
+            for batch in batches(shard.data, size, seed, epoch_offset + epoch):
+                f, grad_f = loss_and_grad(ModelParams(cfg.arch, theta), batch)
+                grad_theta, grad_t = composite_grads(f, grad_f, t, cfg.risk)
+                theta = theta - cfg.lr_theta * grad_theta
+                t = t - cfg.lr_t * grad_t
+                if not (np.isfinite(f) and np.isfinite(t) and np.isfinite(theta).all()):
+                    return None, epoch
+    return (theta, t), None
+
+
+class TestStepOracle:
+    """local_update is bit-identical to the reference step loop: 3 epochs from
+    a nonzero epoch offset over 13 rows in batches of 5, 5 and 3."""
+
+    @staticmethod
+    def case(arch, gamma, lr_theta):
+        cfg = make_config(alpha=0.3, gamma=gamma, epochs=3, batch=5, lr_theta=lr_theta,
+                          lr_t=0.3, arch=arch)
+        start = init_params(arch, 5)
+        shard = UserShard(2, gen_synthetic_2d(3, 5, 0.6, 4).take(np.arange(13)), start, 0.9)
+        return shard, start, cfg
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("arch", [ARCH3, ModelArch(MLP, 2, 3, (4, 2))], ids=["logreg", "mlp"])
+    def test_matches_reference_bit_for_bit(self, arch, gamma):
+        shard, start, cfg = self.case(arch, gamma, lr_theta=0.4)
+        (theta, t), diverged = reference_update(shard, start, 0.9, cfg, epoch_offset=7)
+        out_params, out_t = local_update(shard, start, 0.9, cfg, epoch_offset=7)
+        assert diverged is None
+        assert out_params.values.tobytes() == theta.tobytes()
+        assert out_t == t
+        assert not np.array_equal(theta, start.values)
+
+    def test_divergence_matches_reference(self):
+        shard, start, cfg = self.case(ModelArch(MLP, 2, 3, (4, 2)), 0.3, lr_theta=1e150)
+        result, epoch = reference_update(shard, start, 0.9, cfg, epoch_offset=7)
+        assert result is None
+        with pytest.raises(DivergenceError) as info:
+            local_update(shard, start, 0.9, cfg, epoch_offset=7)
+        assert (info.value.user_id, info.value.epoch) == (2, epoch)
 
 
 class TestRunRound:
