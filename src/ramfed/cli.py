@@ -58,8 +58,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    alphas = [float(v) for v in args.alpha.split(",") if v.strip()]
-    gammas = [float(v) for v in args.gamma.split(",") if v.strip()]
+    alphas = [v for v in args.alpha.split(",") if v.strip()]  # sweep reads and checks them
+    gammas = [v for v in args.gamma.split(",") if v.strip()]
     rows, summary_path = experiments.sweep(
         args.config, alphas, gammas, args.repeats,
         output_dir=experiments.Path(args.output_dir) if args.output_dir else None,
@@ -75,8 +75,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_data(args) -> int:
     cfg = experiments.load_config(args.config, seed_override=args.seed)
     if cfg.dataset.kind != experiments.SYNTHETIC:
-        print("gen-data only applies to synthetic2d configs", file=sys.stderr)
-        return 2
+        raise experiments.ConfigError("gen-data only applies to synthetic2d configs")
     ds = cfg.dataset
     data = gen_synthetic_2d(ds.num_classes, ds.per_class, ds.spread, ds.seed)
     save_csv(data, args.out)
@@ -205,8 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; exit 1 on divergence or a failed self-test, 2 on bad input."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (experiments.ConfigError, FileNotFoundError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

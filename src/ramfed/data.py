@@ -153,7 +153,7 @@ def check_synthetic_2d(num_classes: int, per_class: int, spread: float,
                        size_name: str = "per_class") -> None:
     """The range checks on :func:`gen_synthetic_2d`'s arguments; a NaN spread fails."""
     if num_classes < 2:
-        raise ValueError("need at least 2 classes")
+        raise ValueError("num_classes must be >= 2")
     if per_class < 1:
         raise ValueError(f"{size_name} must be >= 1")
     if not spread >= 0:
@@ -215,7 +215,7 @@ class PartitionSpec:
     num_users: int
     frequent_fraction: float
     frequent_pattern_fraction: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         if self.num_users < 2:

@@ -2,10 +2,12 @@
 
 Configs are INI files with sections dataset/partition/ram/train/risk/run,
 loaded into one typed ``ExperimentConfig``; seed overrides and sweep cells
-derive new configs from it with ``dataclasses.replace``. Every run writes a
-metrics CSV, a config echo rendered from the typed config it ran (defaults
-included; ``load_config`` reads it back to the same config), a final
-parameter snapshot, and SVG charts.
+derive new configs from it with ``dataclasses.replace``. ``SCHEMA`` states
+the keys each section's kind reads; each key's type and default are those
+of the dataclass field it fills. Every run writes a metrics CSV, a config
+echo rendered from the typed config it ran (defaults included;
+``load_config`` reads it back to the same config), a final parameter
+snapshot, and SVG charts.
 Artifact writes go through a temp file plus rename, so an interrupted run
 never leaves a partial file at the final path.
 """
@@ -16,7 +18,9 @@ import configparser
 import csv
 import hashlib
 import os
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +56,15 @@ class DatasetConfig:
     per_class: int = 0
     spread: float = 0.4
     seed: int = 0
-    test_per_class: int = 0
+    test_per_class: int | None = None  # None: the same as per_class
     dir: str = ""
     subset: int = 0
     test_subset: int = 0
     subset_seed: int = 0
 
     def __post_init__(self):
+        if self.test_per_class is None:
+            object.__setattr__(self, "test_per_class", self.per_class)
         if self.seed < 0 or self.subset_seed < 0:
             raise ValueError("[dataset] seed and subset_seed must be nonnegative")
         if self.kind == SYNTHETIC:
@@ -68,7 +74,7 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class RamRecipe:
-    kind: str
+    kind: str = EXPLICIT
     weights: tuple[float, ...] = ()
     param: float = 0.9
 
@@ -80,8 +86,14 @@ class ExperimentConfig:
     ram: RamRecipe
     train: TrainConfig
     output_dir: Path
-    eval_every: int
-    smooth_window: int
+    eval_every: int = 25
+    smooth_window: int = 50
+
+    def __post_init__(self):
+        if self.eval_every < 0 or self.smooth_window < 1:
+            raise ValueError("[run] eval_every >= 0 and smooth_window >= 1 required")
+        self.partition.num_frequent_classes(self.dataset.num_classes)
+        resolve_ram_weights(self)
 
 
 @dataclass
@@ -94,61 +106,131 @@ class RunArtifacts:
     history: RunHistory
 
 
-_SECTION_KEYS = {
-    "dataset": {"kind", "num_classes", "per_class", "spread", "seed", "test_per_class",
-                "dir", "subset", "test_subset", "subset_seed"},
-    "partition": {"num_users", "frequent_fraction", "frequent_pattern_fraction", "seed"},
-    "ram": {"kind", "weights", "param"},
-    "train": {"global_rounds", "local_epochs", "batch_size", "lr_theta", "lr_t",
-              "model", "hidden_dims", "init_seed", "ram_seed", "shuffle_seed"},
-    "risk": {"alpha", "gamma"},
-    # `workers` is accepted and ignored: bench/workloads.py writes it into every config.
-    "run": {"output_dir", "eval_every", "smooth_window", "workers"},
+_TRAIN_KEYS = ("global_rounds", "local_epochs", "batch_size", "lr_theta", "lr_t",
+               "init_seed", "ram_seed", "shuffle_seed")
+_IDX_KEYS = ("dir", "subset", "test_subset", "subset_seed")
+
+# The INI schema: per section, the key that names its kind (None: no kinds)
+# and the keys each kind reads. load_config accepts and write_config_echo
+# writes exactly these keys; `_FIELDS` gives each its type and default.
+SCHEMA: dict[str, tuple[str | None, dict]] = {
+    "dataset": ("kind", {SYNTHETIC: ("num_classes", "per_class", "spread", "seed", "test_per_class"),
+                         MNIST: _IDX_KEYS, FASHION_MNIST: _IDX_KEYS}),
+    "partition": (None, {None: ("num_users", "frequent_fraction", "frequent_pattern_fraction",
+                                "seed")}),
+    "ram": ("kind", {EXPLICIT: ("weights",), GEOMETRIC: ("param",), TAIL_THREE: ("param",)}),
+    "train": ("model", {LOGREG: _TRAIN_KEYS, MLP: _TRAIN_KEYS + ("hidden_dims",)}),
+    "risk": (None, {None: ("alpha", "gamma")}),
+    "run": (None, {None: ("output_dir", "eval_every", "smooth_window")}),
+}
+# Accepted and ignored: bench/workloads.py writes `workers` into every config.
+IGNORED_KEYS = {"run": ("workers",)}
+
+
+def _fields_at(path: str, cls, rename=None) -> dict:
+    """INI key -> (attribute path from ExperimentConfig, field) per field of a dataclass."""
+    return {(rename or {}).get(f.name, f.name): (f"{path}.{f.name}".lstrip("."), f)
+            for f in fields(cls)}
+
+
+_FIELDS = {
+    "dataset": _fields_at("dataset", DatasetConfig),
+    "partition": _fields_at("partition", PartitionSpec),
+    "ram": _fields_at("ram", RamRecipe),
+    "train": {**_fields_at("train", TrainConfig),
+              **_fields_at("train.arch", ModelArch, {"kind": "model"}),
+              **_fields_at("train.seeds", Seeds,
+                           {"init": "init_seed", "ram": "ram_seed", "shuffle": "shuffle_seed"})},
+    "risk": _fields_at("train.risk", RiskConfig),
+    "run": _fields_at("", ExperimentConfig),
 }
 
 
-def _require(section: dict[str, str], section_name: str, key: str) -> str:
-    if key not in section:
-        raise ConfigError(f"[{section_name}] missing required key '{key}'")
-    return section[key]
+def _vector(cast):
+    return lambda text: tuple(cast(part) for part in text.split(",") if part.strip())
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+# How a value is read, by the annotation of its field.
+_PARSERS = {"str": str, "Path": Path, "int": int, "int | None": int, "float": float,
+            "tuple[int, ...]": _vector(int), "tuple[float, ...]": _vector(float)}
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def section_keys(name: str, kind: str | None) -> tuple[str, ...]:
+    """The keys a section of this kind reads, its kind key first."""
+    kind_key, kinds = SCHEMA[name]
+    return ((kind_key,) if kind_key else ()) + kinds[kind]
+
+
+def _value(name: str, key: str, raw: dict[str, str]):
+    field = _FIELDS[name][key][1]
+    if key not in raw:
+        if field.default is MISSING:
+            raise ConfigError(f"[{name}] missing required key '{key}'")
+        return field.default
+    try:
+        return _PARSERS[field.type](raw[key])
+    except ValueError as err:
+        raise ConfigError(f"[{name}] {key}: {err}") from err
+
+
+def _read_section(name: str, raw: dict[str, str]) -> dict[str, object]:
+    """The typed value of every key the section's kind reads, defaults filled."""
+    kind_key, kinds = SCHEMA[name]
+    ignored = IGNORED_KEYS.get(name, ())
+    # Checked before any key is required, so a misspelt required key is named as the typo.
+    read_by_some_kind = {key for kind in kinds for key in section_keys(name, kind)}
+    for key in raw:
+        if key not in read_by_some_kind and key not in ignored:
+            raise ConfigError(f"[{name}] unknown key '{key}'")
+    kind = _value(name, kind_key, raw).lower() if kind_key else None
+    if kind not in kinds:
+        raise ConfigError(f"[{name}] unknown {kind_key} '{kind}'")
+    keys = section_keys(name, kind)
+    for key in raw:
+        if key not in keys and key not in ignored:
+            raise ConfigError(f"[{name}] key '{key}' is not read by {kind_key} {kind}")
+    return {key: kind if key == kind_key else _value(name, key, raw) for key in keys}
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and eagerly validate an experiment config.
 
-    Unknown keys or sections are rejected by name; a malformed or non-UTF-8
-    file, or a value its dataclass rejects, raises ``ConfigError``. With
-    ``seed_override`` the config is ``reseed``-ed from that integer. A run's
-    ``config_echo.ini`` loads back to the config the run used.
+    An unknown section, a key its section's kind does not read, a malformed
+    or non-UTF-8 file and a value its dataclass rejects raise ``ConfigError``,
+    named. With ``seed_override`` the config is ``reseed``-ed from that
+    integer. A run's ``config_echo.ini`` loads back to the config it ran.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     parser = configparser.ConfigParser(interpolation=None)
-    sections: dict[str, dict[str, str]] = {name: {} for name in _SECTION_KEYS}
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         for name in parser.sections():
-            if name not in _SECTION_KEYS:
+            if name not in SCHEMA:
                 raise ConfigError(f"unknown section [{name}]")
-            for key in parser[name]:
-                if key not in _SECTION_KEYS[name]:
-                    raise ConfigError(f"[{name}] unknown key '{key}'")
-            sections[name] = dict(parser[name])
-        cfg = _build_config(sections)
+        found: dict[str, dict] = {}  # attribute path -> {field name: value}
+        for name in SCHEMA:
+            raw = dict(parser[name]) if parser.has_section(name) else {}
+            for key, value in _read_section(name, raw).items():
+                owner, _, attr = _FIELDS[name][key][0].rpartition(".")
+                found.setdefault(owner, {})[attr] = value
+        cfg = _build_config(found)
         return cfg if seed_override is None else reseed(cfg, seed_override)
-    except (ValueError, KeyError, configparser.Error) as err:
+    except (ValueError, configparser.Error) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(str(err)) from err
+
+
+def _build_config(found: dict[str, dict]) -> ExperimentConfig:
+    synthetic = found["dataset"]["kind"] == SYNTHETIC
+    # The IDX sets (MNIST, Fashion-MNIST) are 28x28 images in 10 classes.
+    dataset = DatasetConfig(**found["dataset"], **({} if synthetic else {"num_classes": 10}))
+    arch = ModelArch(input_dim=2 if synthetic else 784, num_classes=dataset.num_classes,
+                     **found["train.arch"])
+    train_cfg = TrainConfig(arch=arch, risk=RiskConfig(**found["train.risk"]),
+                            seeds=Seeds(**found["train.seeds"]), **found["train"])
+    return ExperimentConfig(dataset, PartitionSpec(**found["partition"]),
+                            RamRecipe(**found["ram"]), train_cfg, **found[""])
 
 
 def reseed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
@@ -161,116 +243,14 @@ def reseed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
                    train=replace(cfg.train, seeds=Seeds(*words[:3])))
 
 
-def _build_config(sections) -> ExperimentConfig:
-    ds_sec = sections["dataset"]
-    kind = _require(ds_sec, "dataset", "kind").lower()
-    if kind not in (SYNTHETIC, MNIST, FASHION_MNIST):
-        raise ConfigError(f"[dataset] unknown kind '{kind}'")
-    if kind == SYNTHETIC:
-        num_classes = int(_require(ds_sec, "dataset", "num_classes"))
-        per_class = int(_require(ds_sec, "dataset", "per_class"))
-        dataset = DatasetConfig(
-            kind=kind,
-            num_classes=num_classes,
-            per_class=per_class,
-            spread=float(ds_sec.get("spread", 0.4)),
-            seed=int(ds_sec.get("seed", 0)),
-            test_per_class=int(ds_sec.get("test_per_class", per_class)),
-        )
-        input_dim = 2
-    else:
-        dataset = DatasetConfig(
-            kind=kind,
-            num_classes=10,
-            dir=ds_sec.get("dir", ""),
-            subset=int(ds_sec.get("subset", 0)),
-            test_subset=int(ds_sec.get("test_subset", 0)),
-            subset_seed=int(ds_sec.get("subset_seed", 0)),
-        )
-        num_classes = 10
-        input_dim = 784
-
-    part_sec = sections["partition"]
-    partition = PartitionSpec(
-        num_users=int(_require(part_sec, "partition", "num_users")),
-        frequent_fraction=float(_require(part_sec, "partition", "frequent_fraction")),
-        frequent_pattern_fraction=float(
-            _require(part_sec, "partition", "frequent_pattern_fraction")
-        ),
-        seed=int(part_sec.get("seed", 0)),
-    )
-    partition.num_frequent_classes(num_classes)
-
-    ram_sec = sections["ram"]
-    ram_kind = ram_sec.get("kind", EXPLICIT).lower()
-    if ram_kind == EXPLICIT:
-        weights = _floats(_require(ram_sec, "ram", "weights"))
-        if len(weights) != partition.num_users:
-            raise ConfigError(
-                f"[ram] weights has {len(weights)} entries for "
-                f"{partition.num_users} users"
-            )
-        make_ram(np.asarray(weights))
-        ram = RamRecipe(EXPLICIT, weights=weights)
-    elif ram_kind in (GEOMETRIC, TAIL_THREE):
-        param = float(ram_sec.get("param", 0.9))
-        skewed_weights(partition.num_users, ram_kind, param)
-        ram = RamRecipe(ram_kind, param=param)
-    else:
-        raise ConfigError(f"[ram] unknown kind '{ram_kind}'")
-
-    train_sec = sections["train"]
-    model_kind = _require(train_sec, "train", "model").lower()
-    if model_kind == LOGREG:
-        arch = ModelArch(LOGREG, input_dim, num_classes)
-    elif model_kind == MLP:
-        hidden = _ints(_require(train_sec, "train", "hidden_dims"))
-        arch = ModelArch(MLP, input_dim, num_classes, hidden)
-    else:
-        raise ConfigError(f"[train] unknown model '{model_kind}'")
-
-    risk_sec = sections["risk"]
-    risk = RiskConfig(
-        alpha=float(_require(risk_sec, "risk", "alpha")),
-        gamma=float(_require(risk_sec, "risk", "gamma")),
-    )
-
-    seeds = Seeds(
-        init=int(train_sec.get("init_seed", 0)),
-        ram=int(train_sec.get("ram_seed", 1)),
-        shuffle=int(train_sec.get("shuffle_seed", 2)),
-    )
-    train_cfg = TrainConfig(
-        arch=arch,
-        global_rounds=int(_require(train_sec, "train", "global_rounds")),
-        local_epochs=int(_require(train_sec, "train", "local_epochs")),
-        batch_size=int(train_sec.get("batch_size", 64)),
-        lr_theta=float(_require(train_sec, "train", "lr_theta")),
-        lr_t=float(_require(train_sec, "train", "lr_t")),
-        risk=risk,
-        seeds=seeds,
-    )
-
-    run_sec = sections["run"]
-    config = ExperimentConfig(
-        dataset=dataset,
-        partition=partition,
-        ram=ram,
-        train=train_cfg,
-        output_dir=Path(_require(run_sec, "run", "output_dir")),
-        eval_every=int(run_sec.get("eval_every", 25)),
-        smooth_window=int(run_sec.get("smooth_window", 50)),
-    )
-    if config.eval_every < 0 or config.smooth_window < 1:
-        raise ConfigError("[run] eval_every >= 0 and smooth_window >= 1 required")
-    return config
-
-
 def resolve_ram_weights(cfg: ExperimentConfig) -> np.ndarray:
     """The normalized selection weights the channel will use."""
-    if cfg.ram.kind == EXPLICIT:
-        return make_ram(np.asarray(cfg.ram.weights)).weights
-    return make_ram(skewed_weights(cfg.partition.num_users, cfg.ram.kind, cfg.ram.param)).weights
+    users = cfg.partition.num_users
+    if cfg.ram.kind != EXPLICIT:
+        return make_ram(skewed_weights(users, cfg.ram.kind, cfg.ram.param)).weights
+    if len(cfg.ram.weights) != users:
+        raise ValueError(f"[ram] weights has {len(cfg.ram.weights)} entries for {users} users")
+    return make_ram(np.asarray(cfg.ram.weights)).weights
 
 
 def data_directory(cfg: ExperimentConfig) -> Path:
@@ -369,27 +349,14 @@ def parse_metrics(path) -> dict[str, np.ndarray]:
 
 
 def write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
-    """Render the config as INI with the keys its dataset kind reads; floats as
-    ``str`` of the value, so ``load_config`` of the echo returns ``cfg``."""
-    ds, train, seeds = cfg.dataset, cfg.train, cfg.train.seeds
-    data_keys = (("num_classes", "per_class", "spread", "seed", "test_per_class")
-                 if ds.kind == SYNTHETIC else ("dir", "subset", "test_subset", "subset_seed"))
-    sections = {
-        "dataset": {"kind": ds.kind, **{key: getattr(ds, key) for key in data_keys}},
-        "partition": asdict(cfg.partition),
-        "ram": asdict(cfg.ram),
-        "train": {"global_rounds": train.global_rounds, "local_epochs": train.local_epochs,
-                  "batch_size": train.batch_size, "lr_theta": train.lr_theta,
-                  "lr_t": train.lr_t, "model": train.arch.kind,
-                  "hidden_dims": train.arch.hidden_dims, "init_seed": seeds.init,
-                  "ram_seed": seeds.ram, "shuffle_seed": seeds.shuffle},
-        "risk": asdict(train.risk),
-        "run": {key: getattr(cfg, key) for key in ("output_dir", "eval_every", "smooth_window")},
-    }
+    """Render the config as INI, per section exactly the keys its kind reads;
+    floats as ``str`` of the value, so ``load_config`` of the echo returns ``cfg``."""
     lines: list[str] = []
-    for name, values in sections.items():
+    for name, (kind_key, _) in SCHEMA.items():
         lines.append(f"[{name}]")
-        for key, value in sorted(values.items()):
+        kind = attrgetter(_FIELDS[name][kind_key][0])(cfg) if kind_key else None
+        for key in sorted(section_keys(name, kind)):
+            value = attrgetter(_FIELDS[name][key][0])(cfg)
             text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
             lines.append(f"{key} = {text}")
         lines.append("")
@@ -489,72 +456,67 @@ def derive_seed(base_seed: int, alpha: float, gamma: float, repeat: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
+def _mean_std(prefix: str, values: list) -> dict[str, float]:
+    nan = float("nan")
+    return {f"{prefix}_mean": float(np.mean(values)) if values else nan,
+            f"{prefix}_std": float(np.std(values)) if values else nan}
+
+
 def sweep(config_path, alphas, gammas, repeats: int,
           output_dir: Path | None = None) -> tuple[list[dict], Path]:
-    """Grid of (alpha, gamma) cells, ``repeats`` independent runs each.
+    """Grid of (alpha, gamma) cells, ``repeats`` independent runs each; a
+    level is a number or a string that ``float`` reads.
 
     The config is loaded once; each run is that config ``reseed``-ed from
     (base init seed, alpha, gamma, repeat), with the cell's risk levels and
-    its own output directory. Failures do not stop the sweep; they are
-    recorded in the summary row. Returns the summary rows and the path of
-    the written summary CSV.
+    its own output directory. A bad level raises ``ConfigError`` before any
+    run; a failing run is counted in its row's ``failures`` and the sweep
+    goes on. Returns the rows and the path of the summary CSV.
     """
     if not alphas or not gammas:
-        raise ValueError("alpha and gamma grids must be nonempty")
+        raise ConfigError("alpha and gamma grids must be nonempty")
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ConfigError("repeats must be >= 1")
+    try:  # every level is read and checked before the first cell runs
+        risks = [RiskConfig(float(alpha), float(gamma)) for alpha in alphas for gamma in gammas]
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     base_cfg = load_config(config_path)
     base_seed = base_cfg.train.seeds.init
     out_root = Path(output_dir) if output_dir else base_cfg.output_dir / "sweep"
 
-    num_classes = base_cfg.dataset.num_classes
-    n_freq = base_cfg.partition.num_frequent_classes(num_classes)
-    rare_classes = list(range(n_freq, num_classes))
+    n_freq = base_cfg.partition.num_frequent_classes(base_cfg.dataset.num_classes)
+    rare_classes = list(range(n_freq, base_cfg.dataset.num_classes))
 
     rows = []
-    for alpha in alphas:
-        for gamma in gammas:
-            overall, rare_acc = [], {c: [] for c in rare_classes}
-            failures = 0
-            for rep in range(repeats):
-                cell = reseed(base_cfg, derive_seed(base_seed, alpha, gamma, rep))
-                cfg = replace(
-                    cell,
-                    train=replace(cell.train, risk=RiskConfig(float(alpha), float(gamma))),
-                    output_dir=out_root / f"alpha_{alpha}_gamma_{gamma}" / f"rep_{rep}",
-                )
-                try:
-                    artifacts = run_experiment(cfg)
-                except (DivergenceError, FileNotFoundError):
-                    failures += 1
-                    continue
-                if not artifacts.history.evals:  # zero rounds: nothing was evaluated
-                    continue
-                final = artifacts.history.evals[-1]
-                overall.append(final.overall_acc)
-                for c in rare_classes:
-                    rare_acc[c].append(final.per_class_acc[c])
-            row = {
-                "alpha": alpha,
-                "gamma": gamma,
-                "repeats": repeats,
-                "failures": failures,
-                "overall_mean": float(np.mean(overall)) if overall else float("nan"),
-                "overall_std": float(np.std(overall)) if overall else float("nan"),
-            }
+    for risk in risks:
+        overall, rare_acc = [], {c: [] for c in rare_classes}
+        failures = 0
+        for rep in range(repeats):
+            cell = reseed(base_cfg, derive_seed(base_seed, risk.alpha, risk.gamma, rep))
+            cfg = replace(cell, train=replace(cell.train, risk=risk), output_dir=out_root
+                          / f"alpha_{risk.alpha}_gamma_{risk.gamma}" / f"rep_{rep}")
+            try:
+                artifacts = run_experiment(cfg)
+            except Exception as err:  # diverged, data missing, or any other failure
+                print(f"{cfg.output_dir}: {type(err).__name__}: {err}", file=sys.stderr)
+                failures += 1
+                continue
+            if not artifacts.history.evals:  # zero rounds: nothing was evaluated
+                continue
+            final = artifacts.history.evals[-1]
+            overall.append(final.overall_acc)
             for c in rare_classes:
-                vals = rare_acc[c]
-                row[f"rare_class_{c}_mean"] = float(np.mean(vals)) if vals else float("nan")
-                row[f"rare_class_{c}_std"] = float(np.std(vals)) if vals else float("nan")
-            rows.append(row)
+                rare_acc[c].append(final.per_class_acc[c])
+        row = {"alpha": risk.alpha, "gamma": risk.gamma, "repeats": repeats, "failures": failures,
+               **_mean_std("overall", overall)}
+        for c in rare_classes:
+            row.update(_mean_std(f"rare_class_{c}", rare_acc[c]))
+        rows.append(row)
 
     summary_path = out_root / "sweep_summary.csv"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(row[k]) if isinstance(row[k], int) else repr(float(row[k]))
-            for k in header
-        ))
+    lines = [",".join(rows[0])]  # every row has the same keys in the same order
+    lines += [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row.values())
+              for row in rows]
     atomic_write_text(summary_path, "\n".join(lines) + "\n")
     return rows, summary_path

@@ -51,7 +51,7 @@ class ModelArch:
         if self.kind == LOGREG and self.hidden_dims:
             raise ValueError("logreg takes no hidden layers")
         if self.kind == MLP and not self.hidden_dims:
-            raise ValueError("mlp needs at least one hidden layer")
+            raise ValueError("mlp needs at least one hidden layer in hidden_dims")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden dims must be positive")
 

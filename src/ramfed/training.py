@@ -46,9 +46,9 @@ class DivergenceError(RuntimeError):
 class Seeds:
     """Independent streams: model init, channel selection, batch shuffling."""
 
-    init: int
-    ram: int
-    shuffle: int
+    init: int = 0
+    ram: int = 1
+    shuffle: int = 2
 
     def __post_init__(self):
         for name in ("init", "ram", "shuffle"):
@@ -61,11 +61,11 @@ class TrainConfig:
     arch: ModelArch
     global_rounds: int
     local_epochs: int
-    batch_size: int
     lr_theta: float
     lr_t: float
     risk: RiskConfig
     seeds: Seeds
+    batch_size: int = 64
 
     def __post_init__(self):
         if self.global_rounds < 0:

@@ -99,6 +99,22 @@ class TestCommands:
         assert "run diverged" in capsys.readouterr().err
         assert (tmp_path / "run" / "metrics.csv").exists()
 
+    def test_config_error_is_one_line_and_exit_2(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, extra="surprise = 1")
+        assert main(["train", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "surprise" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha", ["0.1,abc", "0.1,0.0"])
+    def test_bad_sweep_level_is_one_line_and_exit_2(self, tmp_path, capsys, alpha):
+        config = tiny_config(tmp_path, rounds=2)
+        assert main(["sweep", str(config), "--alpha", alpha, "--gamma", "0.1",
+                     "--output-dir", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "sw").exists()
+
     def test_gen_data_writes_csv(self, tmp_path, capsys):
         config = tiny_config(tmp_path)
         out_csv = tmp_path / "synth.csv"

@@ -1,6 +1,7 @@
 import configparser
 import importlib.util
 import os
+import re
 import textwrap
 import warnings
 import xml.etree.ElementTree as ElementTree
@@ -140,6 +141,43 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="surprise"):
             load_config(path)
 
+    def test_misspelt_required_key_named_as_the_typo(self, tmp_path):
+        path = tiny_config(tmp_path)
+        path.write_text(path.read_text().replace("lr_theta = 0.02", "lr_thta = 0.02"))
+        with pytest.raises(ConfigError, match="unknown key 'lr_thta'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("kind = explicit\nweights = 0.5, 0.4, 0.1", "kind = geometric\nweights = 1,2,3", "weights"),
+        ("kind = explicit", "kind = explicit\nparam = 0.5", "param"),
+        ("model = logreg", "model = logreg\nhidden_dims = 4", "hidden_dims"),
+        ("kind = synthetic2d\nnum_classes = 3\nper_class = 30\nspread = 0.5\nseed = 2",
+         "kind = mnist\nnum_classes = 5", "num_classes"),
+        ("spread = 0.5", "spread = 0.5\ndir = data", "dir"),
+    ], ids=["weights-geometric", "param-explicit", "hidden_dims-logreg", "num_classes-mnist",
+            "dir-synthetic2d"])
+    def test_key_the_kind_does_not_read_is_named(self, tmp_path, old, new, key):
+        path = tiny_config(tmp_path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(path)
+
+    def test_readme_config_table_lists_the_schema(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            cells = line.split("|")
+            if line.startswith("| `["):
+                rows[cells[1].strip().strip("`[]")] = set(re.findall(r"`([a-z_]+)`", cells[2]))
+        schema = {}
+        for name, (kind_key, kinds) in experiments.SCHEMA.items():
+            keys = {key for kind in kinds for key in experiments.section_keys(name, kind)}
+            schema[name] = keys | set(experiments.IGNORED_KEYS.get(name, ()))
+        assert rows == schema
+
     def test_unknown_section_named(self, tmp_path):
         path = tiny_config(tmp_path)
         path.write_text(path.read_text() + "\n[telemetry]\nx = 1\n")
@@ -165,7 +203,7 @@ class TestLoadConfig:
         assert echo["run"]["eval_every"] == "4"
         assert "workers" not in echo["run"]  # accepted and ignored
         assert echo["dataset"]["test_per_class"] == "30"  # filled default
-        assert echo["train"]["hidden_dims"] == ""
+        assert "hidden_dims" not in echo["train"]  # logreg reads no hidden_dims
 
     def test_seed_override_rederives_all_seeds(self, tmp_path):
         path = tiny_config(tmp_path)
@@ -430,6 +468,27 @@ class TestSweep:
         assert row["failures"] == 0
         assert np.isnan(row["overall_mean"]) and np.isnan(row["rare_class_2_mean"])
         assert summary.read_text().splitlines()[1].split(",")[3] == "0"
+
+    def test_bad_level_raises_before_any_cell_runs(self, tmp_path):
+        path = tiny_config(tmp_path, rounds=3)
+        with pytest.raises(ConfigError, match="alpha"):
+            sweep(path, alphas=[0.1, 0.0], gammas=[0.1], repeats=1, output_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_any_failing_cell_is_a_recorded_failure(self, tmp_path, monkeypatch, capsys):
+        real = experiments.run_experiment
+
+        def fail_one_cell(cfg):
+            if cfg.train.risk.gamma == 1.0:
+                raise RuntimeError("cell failed")
+            return real(cfg)
+
+        monkeypatch.setattr(experiments, "run_experiment", fail_one_cell)
+        rows, summary = sweep(tiny_config(tmp_path, rounds=2), alphas=[0.2], gammas=[0.1, 1.0],
+                              repeats=2, output_dir=tmp_path / "sweep")
+        assert [row["failures"] for row in rows] == [0, 2]
+        assert len(summary.read_text().splitlines()) == 3
+        assert capsys.readouterr().err.count("RuntimeError: cell failed") == 2
 
     def test_overflowing_cells_are_recorded_failures(self, tmp_path):
         rows, summary = sweep(diverging_mlp(tmp_path), alphas=[0.1], gammas=[0.1, 1.0],
