@@ -48,9 +48,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = experiments.load_config(args.config, seed_override=args.seed)
-    test = experiments.build_test_set(cfg)
-    params = load_params(args.params)
-    metrics = evaluate(params, test)
+    try:
+        params = load_params(args.params)
+        if params.arch != cfg.train.arch:
+            raise ValueError(f"holds {params.arch}, config {args.config} needs {cfg.train.arch}")
+    except ValueError as err:
+        raise experiments.ConfigError(f"snapshot {args.params}: {err}") from None
+    metrics = evaluate(params, experiments.build_test_set(cfg))
     per_class = " ".join(f"{a:.4f}" for a in metrics.per_class_acc)
     print(f"overall accuracy: {metrics.overall_acc:.4f}")
     print(f"per-class accuracy: [{per_class}]")

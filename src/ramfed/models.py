@@ -116,13 +116,15 @@ def init_params(arch: ModelArch, seed: int) -> ModelParams:
 
 
 def split_layers(arch: ModelArch, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the flat vector as per-layer (W, b) pairs; the one statement of the layout."""
+    """Views of the flat vector, or of each row of an (S, P) stack, as per-layer
+    (W, b) pairs; the one statement of the layout."""
+    lead = values.shape[:-1]
     layers = []
     offset = 0
     for fan_in, fan_out in arch.layer_dims():
-        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = values[offset : offset + fan_out]
+        b = values[..., offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -130,16 +132,17 @@ def split_layers(arch: ModelArch, values: np.ndarray) -> list[tuple[np.ndarray, 
 
 def _forward_pass(layers: list[tuple[np.ndarray, np.ndarray]],
                   features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The input to each weight layer and the logits; ReLU on hidden layers."""
+    """The input to each weight layer and the logits; ReLU on hidden layers.
+    Stacked layers take (S, rows, fan_in) features, one matmul over the stack."""
     features = np.asarray(features, dtype=np.float64)
-    fan_in = layers[0][0].shape[0]
-    if features.ndim != 2 or features.shape[1] != fan_in:
-        raise ValueError(f"feature matrix must be (rows, {fan_in}), got shape {features.shape}")
+    fan_in = layers[0][0].shape[-2]
+    if features.ndim != layers[0][0].ndim or features.shape[-1] != fan_in:
+        raise ValueError(f"feature matrix must be (rows, {fan_in}) per model, got {features.shape}")
     activations = [features]
     for w, b in layers[:-1]:
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+        activations.append(np.maximum(activations[-1] @ w + b[..., None, :], 0.0))
     w, b = layers[-1]
-    return activations, activations[-1] @ w + b
+    return activations, activations[-1] @ w + b[..., None, :]
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -174,29 +177,29 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
     grad = np.empty(arch.num_params)
     loss = _loss_and_grad_into(split_layers(arch, params.values), split_layers(arch, grad),
                                batch.features, labels)
-    return loss, grad
+    return float(loss), grad
 
 
-def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.ndarray) -> float:
-    """The batch loss, with its gradient written into the ``grad_layers`` views;
-    unchecked, so the training step can call it with views made once per update."""
+def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.ndarray):
+    """The batch loss, its gradient written into the ``grad_layers`` views; unchecked, for views
+    made once per update. Stacked layers take (S, B, d) features and (S, B) labels: S losses."""
     activations, logits = _forward_pass(layers, features)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    norm = exp.sum(axis=1, keepdims=True)
-    rows = np.arange(labels.shape[0])
-    loss = float(np.mean(np.log(norm[:, 0]) - shifted[rows, labels]))
+    norm = exp.sum(axis=-1, keepdims=True)
+    picked = labels[..., None] == np.arange(logits.shape[-1])
+    loss = np.mean(np.log(norm[..., 0]) - shifted[picked].reshape(labels.shape), axis=-1)
 
     # Backward pass from the softmax probabilities; subgradient of ReLU at 0 is 0.
     delta = exp / norm
-    delta[rows, labels] -= 1.0
-    delta /= labels.shape[0]
+    delta[picked] -= 1.0
+    delta /= labels.shape[-1]
     for i in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[i]
-        np.matmul(activations[i].T, delta, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
+        np.matmul(np.swapaxes(activations[i], -1, -2), delta, out=grad_w)
+        np.sum(delta, axis=-2, out=grad_b)
         if i > 0:
-            delta = (delta @ layers[i][0].T) * (activations[i] > 0.0)
+            delta = (delta @ np.swapaxes(layers[i][0], -1, -2)) * (activations[i] > 0.0)
     return loss
 
 

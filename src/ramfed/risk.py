@@ -137,17 +137,17 @@ def composite_loss(f: float, t: float, cfg: RiskConfig) -> float:
     return (1.0 - cfg.gamma) * (t + hinge / cfg.alpha) + cfg.gamma * f
 
 
-def composite_grads(f: float, grad_f: np.ndarray, t: float,
-                    cfg: RiskConfig) -> tuple[np.ndarray, float]:
+def composite_grads(f, grad_f: np.ndarray, t, cfg: RiskConfig, out=None):
     """Subgradients of composite_loss in (theta, t).
 
     The hinge indicator is 1 for f > t and 0 otherwise; at the kink f == t
     the inactive branch is chosen, a valid subgradient pinned for
-    determinism.
+    determinism. ``f`` and ``t`` may be length-S vectors with ``grad_f`` an
+    (S, P) stack; ``out`` (``grad_f`` itself, say) receives grad_theta.
     """
-    h = 1.0 if f > t else 0.0
+    h = np.greater(f, t) * 1.0
     scale = (1.0 - cfg.gamma) * h / cfg.alpha + cfg.gamma
-    grad_theta = scale * grad_f
+    grad_theta = np.multiply(np.expand_dims(scale, -1), grad_f, out=out)
     grad_t = (1.0 - cfg.gamma) * (1.0 - h / cfg.alpha)
     return grad_theta, grad_t
 

@@ -2,8 +2,10 @@
 
 Each round the channel relays one user's (theta, t) pair, the pair becomes
 the global state, and every user then runs H local epochs of joint
-(theta, t) SGD starting from that broadcast. The risk-neutral baseline is
-the gamma = 1 special case of the same loop; no separate code path exists.
+(theta, t) SGD starting from that broadcast, as one stacked NumPy
+computation per shard length, with the bytes of each update run alone. The
+risk-neutral baseline is the gamma = 1 special case of the same loop; no
+separate code path exists.
 
 This module never reads the channel's selection weights. It drives any
 object exposing ``relay(candidates) -> (index, candidate)``, which is what
@@ -12,6 +14,7 @@ keeps the selection distribution invisible to the training path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,9 @@ from .models import (ModelParams, _loss_and_grad_into, check_labels, cross_entro
 from .risk import RiskConfig, composite_grads
 
 INITIAL_THRESHOLD = 0.0  # below ln C, so the hinge is active from the start
+# Theta entries per stack, at most. Stacking saves per-step call overhead; the MNIST-shaped MLP
+# (50,890 parameters) ran no faster as one stack of 10 users, and peak RSS rose by up to 1%.
+STACK_FLOATS = 1 << 16
 
 
 class DivergenceError(RuntimeError):
@@ -130,43 +136,76 @@ class Metrics:
     per_class_acc: np.ndarray  # NaN for classes absent from the test set
 
 
+@functools.lru_cache(maxsize=4096)
 def user_shuffle_seed(shuffle_seed: int, user_id: int) -> int:
-    """Stable per-user batching seed derived from the run-level seed."""
+    """Stable per-user batching seed derived from the run-level seed, cached."""
     return int(np.random.SeedSequence([shuffle_seed, user_id]).generate_state(1)[0])
+
+
+def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
+                  cfg: TrainConfig, epoch_offset: int = 0) -> list[tuple[ModelParams, float]]:
+    """H local epochs of joint (theta, t) SGD for every shard, from one broadcast pair.
+
+    Both gradients of a step are evaluated at the same pre-step point, so
+    theta and t move simultaneously; ``epoch_offset`` keys the shuffle so
+    batch order differs across rounds. Shards of one length run as one stack,
+    theta (S, P) and t (S,); each step gathers every shard's own batch into one
+    reused (S, B, d) buffer (``mode="clip"`` only skips np.take's buffering: a
+    permutation's indices are in range). Each step checks every batch loss, t
+    and theta row, the run's one divergence check, so NumPy's overflow and
+    invalid-value warnings are silenced here; DivergenceError names the first
+    diverged shard in list order, at its first bad local epoch.
+    """
+    arch = theta_in.arch
+    groups: dict[int, list[int]] = {}
+    for i, shard in enumerate(shards):
+        check_labels(shard.data.labels, arch)
+        groups.setdefault(len(shard.data), []).append(i)
+    cap = max(1, STACK_FLOATS // arch.num_params)  # users per stack
+    stacks = [(n, ids[j : j + cap]) for n, ids in groups.items() for j in range(0, len(ids), cap)]
+    results, diverged = [None] * len(shards), {}  # diverged: position -> first bad epoch
+    for n, members in stacks:
+        stack = [shards[i] for i in members]
+        theta = np.repeat(theta_in.values[None, :], len(stack), axis=0)
+        t = np.full(len(stack), float(t_in))
+        grad = np.empty_like(theta)
+        layers, grad_layers = split_layers(arch, theta), split_layers(arch, grad)
+        seeds = [user_shuffle_seed(cfg.seeds.shuffle, shard.user_id) for shard in stack]
+        batch_size = min(cfg.batch_size, n)
+        xs = np.empty((len(stack), batch_size, stack[0].data.features.shape[1]))
+        ys = np.empty((len(stack), batch_size), dtype=np.int64)
+        bad_epoch = np.full(len(stack), -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(cfg.local_epochs):
+                chunks = [batch_indices(n, batch_size, seed, epoch_offset + epoch) for seed in seeds]
+                for step in zip(*chunks):
+                    rows = len(step[0])
+                    for shard, idx, x, y in zip(stack, step, xs, ys):
+                        np.take(shard.data.features, idx, axis=0, out=x[:rows], mode="clip")
+                        np.take(shard.data.labels, idx, out=y[:rows], mode="clip")
+                    f = _loss_and_grad_into(layers, grad_layers, xs[:, :rows], ys[:, :rows])
+                    # Scaled in place in the gradient buffer: no (S, P) temporary per step.
+                    grad_theta, grad_t = composite_grads(f, grad, t, cfg.risk, out=grad)
+                    grad_theta *= cfg.lr_theta
+                    theta -= grad_theta
+                    t -= cfg.lr_t * grad_t
+                    ok = np.isfinite(f) & np.isfinite(t) & np.isfinite(theta).all(axis=1)
+                    bad_epoch[~ok & (bad_epoch < 0)] = epoch
+        for row, i in enumerate(members):
+            if bad_epoch[row] >= 0:
+                diverged[i] = int(bad_epoch[row])
+            else:
+                results[i] = (ModelParams(arch, theta[row]), float(t[row]))
+    if diverged:
+        first = min(diverged)
+        raise DivergenceError(-1, shards[first].user_id, diverged[first])
+    return results
 
 
 def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
                  cfg: TrainConfig, epoch_offset: int = 0) -> tuple[ModelParams, float]:
-    """H local epochs of joint (theta, t) SGD from the broadcast pair.
-
-    Both gradients of a step are evaluated at the same pre-step point, so
-    theta and t move simultaneously. Deterministic given the config seeds;
-    ``epoch_offset`` keys the shuffle so batch order differs across rounds.
-    The broadcast (by the copy) and the shard's labels are validated once;
-    each step runs on raw arrays, with layer views made here, and checks the
-    batch loss, t and theta for finiteness, the run's one divergence check,
-    so NumPy's overflow and invalid-value warnings are silenced here.
-    """
-    params = theta_in.copy()
-    theta = params.values
-    t = t_in
-    xs, ys = shard.data.features, shard.data.labels
-    check_labels(ys, params.arch)
-    layers = split_layers(params.arch, theta)
-    grad = np.empty(theta.size)
-    grad_layers = split_layers(params.arch, grad)
-    seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
-    batch_size = min(cfg.batch_size, len(ys))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.local_epochs):
-            for idx in batch_indices(len(ys), batch_size, seed, epoch_offset + epoch):
-                f = _loss_and_grad_into(layers, grad_layers, xs[idx], ys[idx])
-                grad_theta, grad_t = composite_grads(f, grad, t, cfg.risk)
-                theta -= cfg.lr_theta * grad_theta
-                t -= cfg.lr_t * grad_t
-                if not (np.isfinite(f) and np.isfinite(t) and np.all(np.isfinite(theta))):
-                    raise DivergenceError(-1, shard.user_id, epoch)
-    return params, t
+    """One shard's H local epochs from the broadcast pair; see :func:`local_updates`."""
+    return local_updates([shard], theta_in, t_in, cfg, epoch_offset)[0]
 
 
 def shard_loss(params: ModelParams, data: Dataset) -> float:
@@ -199,9 +238,8 @@ def run_round(state: GlobalState, channel, cfg: TrainConfig) -> GlobalState:
     state.t_global = t_g
     train_loss = shard_loss(theta_g, state.users[selected].data)
 
-    epoch_offset = state.round * cfg.local_epochs
     try:
-        results = [local_update(u, theta_g, t_g, cfg, epoch_offset) for u in state.users]
+        results = local_updates(state.users, theta_g, t_g, cfg, state.round * cfg.local_epochs)
     except DivergenceError as err:
         err.round_index = state.round + 1
         err.history = state.history

@@ -106,6 +106,20 @@ class TestCommands:
         assert err.startswith("error: ") and "surprise" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("snapshot, named", [
+        (lambda path: save_params(init_params(ModelArch(MLP, 784, 10, (5,)), 3), path),
+         "input_dim=784, num_classes=10, hidden_dims=(5,)), config"),
+        (lambda path: path.write_bytes(b"RFP1\x07"), "truncated snapshot"),
+    ], ids=["architecture-mismatch", "truncated"])
+    def test_bad_snapshot_is_one_line_and_exit_2(self, tmp_path, capsys, snapshot, named):
+        config = tiny_config(tmp_path)
+        path = tmp_path / "model.bin"
+        snapshot(path)
+        assert main(["eval", str(config), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot ") and named in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("alpha", ["0.1,abc", "0.1,0.0"])
     def test_bad_sweep_level_is_one_line_and_exit_2(self, tmp_path, capsys, alpha):
         config = tiny_config(tmp_path, rounds=2)

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 import ramfed.training
+from ramfed.channel import RandomAccessChannel, make_ram
 from ramfed.data import Dataset, PartitionSpec, batches, gen_synthetic_2d, partition_heterogeneous
 from ramfed.models import LOGREG, MLP, ModelArch, ModelParams, init_params, loss_and_grad
 from ramfed.risk import RiskConfig, composite_grads
 from ramfed.training import (
+    INITIAL_THRESHOLD,
     DivergenceError,
+    GlobalState,
+    RunHistory,
     Seeds,
     TrainConfig,
     UserShard,
     evaluate,
     local_update,
+    local_updates,
+    run_round,
     selection_frequencies,
     shard_loss,
     train,
@@ -173,6 +179,103 @@ class TestStepOracle:
         with pytest.raises(DivergenceError) as info:
             local_update(shard, start, 0.9, cfg, epoch_offset=7)
         assert (info.value.user_id, info.value.epoch) == (2, epoch)
+
+
+def stacked_users(lengths=(13, 13, 7, 13, 7), scales=(1.0,) * 5):
+    """Users with distinct rows; equal lengths share a stack, and batches of 5
+    leave short last batches of 3 and 2 rows."""
+    pool = gen_synthetic_2d(3, 20, 0.6, 4)
+    rows = np.random.default_rng(8).permutation(len(pool))
+    users, start = [], 0
+    for user_id, (n, scale) in enumerate(zip(lengths, scales)):
+        part = pool.take(rows[start : start + n])
+        users.append(UserShard(user_id, Dataset(part.features * scale, part.labels, 3), None, 0.0))
+        start += n
+    return users
+
+
+ARCHS = pytest.mark.parametrize("arch", [ARCH3, ModelArch(MLP, 2, 3, (4, 2))],
+                                ids=["logreg", "mlp"])
+
+
+class TestStackedUpdates:
+    """run_round's stacked local updates give every user the bytes of its own
+    reference step loop: stacks of 3 and 2 users, or of at most 2."""
+
+    @pytest.mark.parametrize("users_per_stack", [None, 2])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    @ARCHS
+    def test_round_matches_reference_bit_for_bit(self, monkeypatch, arch, gamma, users_per_stack):
+        if users_per_stack:
+            monkeypatch.setattr(ramfed.training, "STACK_FLOATS", users_per_stack * arch.num_params)
+        cfg = make_config(alpha=0.3, gamma=gamma, epochs=3, batch=5, lr_theta=0.4,
+                          lr_t=0.3, arch=arch)
+        start = init_params(arch, 5)
+        users = stacked_users()
+        state = GlobalState(2, start, 0.9, users, RunHistory())
+        for user in users:
+            user.params, user.t_local = start, 0.9
+        run_round(state, ScriptedChannel([1]), cfg)
+        for user in users:
+            (theta, t), diverged = reference_update(user, start, 0.9, cfg, epoch_offset=6)
+            assert diverged is None
+            assert user.params.values.tobytes() == theta.tobytes()
+            assert user.t_local == t
+            assert not np.array_equal(theta, start.values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_lowest_diverged_user(self):
+        # One stack of five; the feature scales make user 1 diverge in a later
+        # local epoch than user 2 and leave the other three finite.
+        users = stacked_users(lengths=(13,) * 5, scales=(0.3, 0.1, 0.7, 0.3, 0.3))
+        cfg = make_config(alpha=0.3, gamma=0.3, epochs=3, batch=5, lr_theta=3e307, lr_t=0.3)
+        start = init_params(ARCH3, 5)
+        epochs = [reference_update(u, start, 0.9, cfg, epoch_offset=7)[1] for u in users]
+        assert epochs[0] is None and epochs[3:] == [None, None]
+        assert epochs[1] > epochs[2] >= 0
+        with pytest.raises(DivergenceError) as info:
+            local_updates(users, start, 0.9, cfg, epoch_offset=7)
+        assert (info.value.user_id, info.value.epoch) == (1, epochs[1])
+
+
+def eager_run(users, weights, cfg):
+    """An independent eager engine: the channel's relay, then each user's
+    reference step loop from the relayed pair, one user after another."""
+    channel = RandomAccessChannel(make_ram(weights), cfg.seeds.ram)
+    theta0 = init_params(cfg.arch, cfg.seeds.init)
+    pairs = [(theta0, INITIAL_THRESHOLD)] * len(users)
+    selections, thresholds = [], []
+    for r in range(cfg.global_rounds):
+        selected, (theta_g, t_g) = channel.relay(pairs)
+        selections.append(selected)
+        thresholds.append(t_g)
+        pairs = []
+        for user in users:
+            (theta, t), diverged = reference_update(user, theta_g, t_g, cfg,
+                                                    r * cfg.local_epochs)
+            assert diverged is None
+            pairs.append((ModelParams(cfg.arch, theta), t))
+    return selections, thresholds, pairs
+
+
+class TestWholeRunReplay:
+    """40 rounds of train() against the eager engine, compared in bytes, which
+    a relative tolerance would not: it also catches one-ulp changes."""
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    @ARCHS
+    def test_forty_rounds_match_bit_for_bit(self, arch, gamma):
+        cfg = make_config(alpha=0.3, gamma=gamma, rounds=40, epochs=2, batch=5,
+                          lr_theta=0.2, lr_t=0.05, arch=arch)
+        users = stacked_users()
+        weights = [0.3, 0.25, 0.2, 0.15, 0.1]
+        state, history = train([u.data for u in users], weights, cfg)
+        selections, thresholds, pairs = eager_run(users, weights, cfg)
+        assert history.selections() == selections
+        assert [r.t_global for r in history.rounds] == thresholds
+        for user, (params, t) in zip(state.users, pairs):
+            assert user.params.values.tobytes() == params.values.tobytes()
+            assert user.t_local == t
 
 
 class TestRunRound:
