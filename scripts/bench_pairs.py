@@ -7,10 +7,11 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository. Pair k runs
 `bench/run.py --trace 0` once in each on the k-th seed, the parent first
 on odd-numbered pairs and the change first on even ones, so a drift in
 host speed hits both sides alike. The summary is merged, under the
-workload's name, into BENCH_<slug>.json in the current directory. Per
-end-to-end metric it holds both sides' runs, their quartiles, the median
-relative change, the parent's interquartile range (IQR), the change's wins
-and a verdict:
+workload's name, into BENCH_<slug>.json in the current directory. The
+entry records each side's `git rev-parse HEAD` and whether its tree was
+dirty, and per end-to-end metric both sides' runs, their quartiles, the
+median relative change, the parent's interquartile range (IQR), the
+change's wins and a verdict:
 
 - gain: the change wins at least 9 of 10 pairs (ties count for neither
   side) and its median is better than the parent's by more than the
@@ -60,10 +61,16 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def head_commit(checkout: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                          text=True, check=False)
-    return proc.stdout.strip() or None
+def git(checkout: Path, *args: str) -> str:
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                          check=False)
+    return proc.stdout.strip()
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The checkout's `git rev-parse HEAD` (None outside git) and whether its tree is dirty."""
+    return {"commit": git(checkout, "rev-parse", "HEAD") or None,
+            "dirty": bool(git(checkout, "status", "--porcelain"))}
 
 
 def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -117,6 +124,7 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in {m["name"] for m in declared}:
         parser.error(f"--claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
     sides = {"parent": args.parent, "change": args.change}
+    checkouts = {side: checkout_state(path) for side, path in sides.items()}
     runs = {"parent": [], "change": []}
     for k, seed in enumerate(args.seeds, start=1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
@@ -127,6 +135,7 @@ def main(argv=None) -> int:
             for side in sides), file=sys.stderr)
 
     entry = {
+        "checkouts": checkouts,
         "seeds": args.seeds,
         "seconds": args.seconds,
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
@@ -152,7 +161,6 @@ def main(argv=None) -> int:
 
     out = Path(f"BENCH_{args.slug}.json")
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc.setdefault("parent_commit", head_commit(args.parent))
     doc["harness"] = (f"python3 bench/run.py --workload W --seed S --seconds {args.seconds} "
                       "--trace 0, alternating parent/change pairs (scripts/bench_pairs.py)")
     doc["machine"] = (f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} "

@@ -188,12 +188,13 @@ def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.nd
     exp = np.exp(shifted)
     norm = exp.sum(axis=-1, keepdims=True)
     picked = labels[..., None] == np.arange(logits.shape[-1])
-    loss = np.mean(np.log(norm[..., 0]) - shifted[picked].reshape(labels.shape), axis=-1)
+    rows = labels.shape[-1]  # np.mean's sum and division below, without its wrapper
+    loss = np.add.reduce(np.log(norm[..., 0]) - shifted[picked].reshape(labels.shape), -1) / rows
 
     # Backward pass from the softmax probabilities; subgradient of ReLU at 0 is 0.
     delta = exp / norm
     delta[picked] -= 1.0
-    delta /= labels.shape[-1]
+    delta /= rows
     for i in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[i]
         np.matmul(np.swapaxes(activations[i], -1, -2), delta, out=grad_w)

@@ -147,7 +147,7 @@ def composite_grads(f, grad_f: np.ndarray, t, cfg: RiskConfig, out=None):
     """
     h = np.greater(f, t) * 1.0
     scale = (1.0 - cfg.gamma) * h / cfg.alpha + cfg.gamma
-    grad_theta = np.multiply(np.expand_dims(scale, -1), grad_f, out=out)
+    grad_theta = np.multiply(scale[..., None], grad_f, out=out)
     grad_t = (1.0 - cfg.gamma) * (1.0 - h / cfg.alpha)
     return grad_theta, grad_t
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import RandomAccessChannel, make_ram
-from .data import Dataset, batch_indices
+from .data import Dataset, shuffle_orders
 from .models import (ModelParams, _loss_and_grad_into, check_labels, cross_entropy, forward,
                      init_params, split_layers)
 from .risk import RiskConfig, composite_grads
@@ -150,11 +150,12 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
     theta and t move simultaneously; ``epoch_offset`` keys the shuffle so
     batch order differs across rounds. Shards of one length run as one stack,
     theta (S, P) and t (S,); each step gathers every shard's own batch into one
-    reused (S, B, d) buffer (``mode="clip"`` only skips np.take's buffering: a
-    permutation's indices are in range). Each step checks every batch loss, t
-    and theta row, the run's one divergence check, so NumPy's overflow and
-    invalid-value warnings are silenced here; DivergenceError names the first
-    diverged shard in list order, at its first bad local epoch.
+    reused (S, B, d) buffer, in the orders of one :func:`shuffle_orders` call
+    (``mode="clip"`` only skips ``take``'s buffering: a permutation's indices
+    are in range). Each step checks every batch loss, t and theta row, the
+    run's one divergence check, so NumPy's overflow and invalid-value warnings
+    are silenced here; DivergenceError names the first diverged shard in list
+    order, at its first bad local epoch.
     """
     arch = theta_in.arch
     groups: dict[int, list[int]] = {}
@@ -163,6 +164,11 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
         groups.setdefault(len(shard.data), []).append(i)
     cap = max(1, STACK_FLOATS // arch.num_params)  # users per stack
     stacks = [(n, ids[j : j + cap]) for n, ids in groups.items() for j in range(0, len(ids), cap)]
+    epochs = cfg.local_epochs
+    seeds = [user_shuffle_seed(cfg.seeds.shuffle, shard.user_id) for shard in shards]
+    orders = shuffle_orders(  # shard i's order in local epoch e is orders[i * epochs + e]
+        np.repeat([len(shard.data) for shard in shards], epochs), np.repeat(seeds, epochs),
+        np.tile(np.arange(epoch_offset, epoch_offset + epochs), len(shards)))
     results, diverged = [None] * len(shards), {}  # diverged: position -> first bad epoch
     for n, members in stacks:
         stack = [shards[i] for i in members]
@@ -170,19 +176,18 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
         t = np.full(len(stack), float(t_in))
         grad = np.empty_like(theta)
         layers, grad_layers = split_layers(arch, theta), split_layers(arch, grad)
-        seeds = [user_shuffle_seed(cfg.seeds.shuffle, shard.user_id) for shard in stack]
         batch_size = min(cfg.batch_size, n)
         xs = np.empty((len(stack), batch_size, stack[0].data.features.shape[1]))
         ys = np.empty((len(stack), batch_size), dtype=np.int64)
         bad_epoch = np.full(len(stack), -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(cfg.local_epochs):
-                chunks = [batch_indices(n, batch_size, seed, epoch_offset + epoch) for seed in seeds]
-                for step in zip(*chunks):
-                    rows = len(step[0])
-                    for shard, idx, x, y in zip(stack, step, xs, ys):
-                        np.take(shard.data.features, idx, axis=0, out=x[:rows], mode="clip")
-                        np.take(shard.data.labels, idx, out=y[:rows], mode="clip")
+            for epoch in range(epochs):
+                for start in range(0, n, batch_size):
+                    rows = min(batch_size, n - start)
+                    for shard, i, x, y in zip(stack, members, xs, ys):
+                        idx = orders[i * epochs + epoch][start : start + rows]
+                        shard.data.features.take(idx, axis=0, out=x[:rows], mode="clip")
+                        shard.data.labels.take(idx, out=y[:rows], mode="clip")
                     f = _loss_and_grad_into(layers, grad_layers, xs[:, :rows], ys[:, :rows])
                     # Scaled in place in the gradient buffer: no (S, P) temporary per step.
                     grad_theta, grad_t = composite_grads(f, grad, t, cfg.risk, out=grad)

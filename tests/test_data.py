@@ -18,6 +18,7 @@ from ramfed.data import (
     partition_heterogeneous,
     partition_indices,
     save_csv,
+    shuffle_orders,
     write_idx,
 )
 from ramfed.models import Batch, ModelArch, ModelParams, loss_and_grad
@@ -274,3 +275,55 @@ class TestBatches:
             batches(data, 0, seed=0, epoch=0)
         with pytest.raises(ValueError):
             batches(data, 5, seed=0, epoch=0)
+
+
+class TestShuffleOrders:
+    """shuffle_orders against a plain loop over NumPy's own seeding."""
+
+    @staticmethod
+    def assert_matches_loop(lengths, seeds, epochs):
+        got = shuffle_orders(lengths, seeds, epochs)
+        assert len(got) == len(lengths)
+        for order, n, seed, epoch in zip(got, lengths, seeds, epochs):
+            want = np.random.default_rng([int(seed), int(epoch)]).permutation(int(n))
+            assert order.dtype == want.dtype
+            assert np.array_equal(order, want), (n, seed, epoch)
+
+    def test_random_triples_in_calls_of_every_size(self):
+        rng = np.random.default_rng(20231)
+        count = 1200
+        lengths = rng.integers(1, 301, count)
+        seeds = rng.integers(0, 2**32, count)
+        epochs = rng.integers(0, 2**32, count)
+        start = 0
+        while start < count:  # calls of 1 to 60 triples, each mixing lengths
+            stop = min(count, start + int(rng.integers(1, 61)))
+            self.assert_matches_loop(lengths[start:stop], seeds[start:stop], epochs[start:stop])
+            start = stop
+
+    def test_word_edges(self):
+        edges = [0, 1, 2**31, 2**32 - 1]
+        pairs = [(s, e) for s in edges for e in edges]
+        for n in (1, 2, 300):
+            self.assert_matches_loop([n] * len(pairs), [s for s, _ in pairs],
+                                     [e for _, e in pairs])
+
+    def test_one_call_mixes_lengths(self):
+        lengths = [1, 300, 2, 64, 7, 64, 13]
+        seeds = [3, 3, 2**32 - 1, 0, 99, 99, 123456789]
+        self.assert_matches_loop(lengths, seeds, list(range(40, 47)))
+
+    def test_empty_call(self):
+        assert shuffle_orders([], [], []) == []
+
+    @pytest.mark.parametrize("seed, epoch", [(-1, 0), (2**32, 0), (0, -1), (0, 2**32),
+                                             (2**64, 0), (1.5, 0)])
+    def test_out_of_range_words_raise(self, seed, epoch):
+        with pytest.raises(ValueError):
+            shuffle_orders([5], [seed], [epoch])
+        with pytest.raises(ValueError):
+            batches(uniform_dataset(2, 2), 2, seed=seed, epoch=epoch)
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(ValueError):
+            shuffle_orders([5, 6], [1], [0])

@@ -75,7 +75,7 @@ def program_run(path: Path, rounds: int):
     ("synthetic_smoke", 20, {"model": "mlp", "hidden_dims": "8,8"}),
     ("fig2a", 20, {}),
     ("fig2b", 20, {}),
-    ("fig2c", 10, {}),
+    ("fig2c", 100, {}),  # 500 local epochs of each of 30 users' shuffle streams
 ], ids=["smoke-logreg", "smoke-mlp", "fig2a", "fig2b", "fig2c"])
 def test_rounds_match_reference_replay(tmp_path, preset, rounds, train_overrides):
     path = bundled_variant(tmp_path, preset, **train_overrides)
