@@ -58,7 +58,8 @@ def test_summarise_counts_wins_ties_and_quartiles():
     assert result["median_change_rel"] == 0.0
 
 
-def test_checkout_state(tmp_path):
+def test_checkout_state(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # no repository above
     assert bench_pairs.checkout_state(tmp_path) == {"commit": None, "dirty": False}
 
     def git(*args):
