@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .data import gen_synthetic_2d, save_csv
+from .data import IdxFormatError, PartitionError, gen_synthetic_2d, save_csv
 from .models import (LOGREG, MLP, Batch, ModelArch, ModelParams, finite_diff_grad,
                      init_params, load_params, loss_and_grad)
 from .risk import RiskConfig, composite_grads, composite_loss, cvar_discrete, cvar_grid_oracle
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (experiments.ConfigError, FileNotFoundError) as err:
+    except (experiments.ConfigError, FileNotFoundError, IdxFormatError, PartitionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -116,7 +116,10 @@ def load_idx(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
-    return parse_idx(raw)
+    try:
+        return parse_idx(raw)
+    except IdxFormatError as err:
+        raise IdxFormatError(f"{path}: {err}") from None
 
 
 _IDX_FILES = {

@@ -82,9 +82,6 @@ class ModelParams:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("parameter vector contains non-finite entries")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, self.values.copy())
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -198,7 +195,7 @@ def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.nd
     for i in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[i]
         np.matmul(np.swapaxes(activations[i], -1, -2), delta, out=grad_w)
-        np.sum(delta, axis=-2, out=grad_b)
+        np.add.reduce(delta, axis=-2, out=grad_b)
         if i > 0:
             delta = (delta @ np.swapaxes(layers[i][0], -1, -2)) * (activations[i] > 0.0)
     return loss

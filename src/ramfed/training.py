@@ -1,11 +1,12 @@
 """Federated round engine: relay, broadcast, local SGD on the composite loss.
 
 Each round the channel relays one user's (theta, t) pair, the pair becomes
-the global state, and every user then runs H local epochs of joint
+the global pair, and every user then runs H local epochs of joint
 (theta, t) SGD starting from that broadcast, as one stacked NumPy
-computation per shard length, with the bytes of each update run alone. The
-risk-neutral baseline is the gamma = 1 special case of the same loop; no
-separate code path exists.
+computation per shard length, with the bytes of each update run alone.
+User u's candidate pair is row u of ``GlobalState.thetas`` (K, P) and of
+``GlobalState.ts`` (K,), not a per-user object. The risk-neutral baseline
+is the gamma = 1 special case of the same loop; no separate code path exists.
 
 This module never reads the channel's selection weights. It drives any
 object exposing ``relay(candidates) -> (index, candidate)``, which is what
@@ -85,14 +86,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserShard:
-    """One user's private data and its current local (theta, t)."""
+    """One user's private data: input, not state; its pair is a row of GlobalState's arrays."""
 
     user_id: int
     data: Dataset
-    params: ModelParams
-    t_local: float
 
 
 @dataclass
@@ -123,10 +122,15 @@ class RunHistory:
 
 @dataclass
 class GlobalState:
+    """``theta_global``/``t_global``: the last relayed pair. Row u of ``thetas`` (K, P) and
+    entry u of ``ts`` (K,): the pair user u forwards at the next relay."""
+
     round: int
     theta_global: ModelParams
     t_global: float
     users: list[UserShard]
+    thetas: np.ndarray
+    ts: np.ndarray
     history: RunHistory
 
 
@@ -143,19 +147,19 @@ def user_shuffle_seed(shuffle_seed: int, user_id: int) -> int:
 
 
 def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
-                  cfg: TrainConfig, epoch_offset: int = 0) -> list[tuple[ModelParams, float]]:
-    """H local epochs of joint (theta, t) SGD for every shard, from one broadcast pair.
+                  cfg: TrainConfig, epoch_offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """H local epochs of joint (theta, t) SGD for every shard, from one broadcast pair:
+    the updated thetas (K, P) and ts (K,), row i for shard i.
 
-    Both gradients of a step are evaluated at the same pre-step point, so
-    theta and t move simultaneously; ``epoch_offset`` keys the shuffle so
-    batch order differs across rounds. Shards of one length run as one stack,
-    theta (S, P) and t (S,); each step gathers every shard's own batch into one
-    reused (S, B, d) buffer, in the orders of one :func:`shuffle_orders` call
-    (``mode="clip"`` only skips ``take``'s buffering: a permutation's indices
-    are in range). Each step checks every batch loss, t and theta row, the
-    run's one divergence check, so NumPy's overflow and invalid-value warnings
-    are silenced here; DivergenceError names the first diverged shard in list
-    order, at its first bad local epoch.
+    Both gradients of a step are evaluated at the same pre-step point, so theta and t
+    move simultaneously; ``epoch_offset`` keys the shuffle so batch order differs across
+    rounds. Shards of one length run as one stack, theta (S, P) and t (S,), whose rows are
+    then written to the output; each step gathers every shard's own batch into one reused
+    (S, B, d) buffer, in the orders of one :func:`shuffle_orders` call (``mode="clip"`` only
+    skips ``take``'s buffering: a permutation's indices are in range). Each step checks
+    every batch loss, t and theta row, the run's one divergence check, so NumPy's overflow
+    and invalid-value warnings are silenced here; DivergenceError names the first diverged
+    shard in list order, at its first bad local epoch.
     """
     arch = theta_in.arch
     groups: dict[int, list[int]] = {}
@@ -169,7 +173,8 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
     orders = shuffle_orders(  # shard i's order in local epoch e is orders[i * epochs + e]
         np.repeat([len(shard.data) for shard in shards], epochs), np.repeat(seeds, epochs),
         np.tile(np.arange(epoch_offset, epoch_offset + epochs), len(shards)))
-    results, diverged = [None] * len(shards), {}  # diverged: position -> first bad epoch
+    thetas, ts = np.empty((len(shards), arch.num_params)), np.empty(len(shards))
+    bad_epoch = np.full(len(shards), -1)  # each shard's first local epoch with a bad step
     for n, members in stacks:
         stack = [shards[i] for i in members]
         theta = np.repeat(theta_in.values[None, :], len(stack), axis=0)
@@ -179,7 +184,7 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
         batch_size = min(cfg.batch_size, n)
         xs = np.empty((len(stack), batch_size, stack[0].data.features.shape[1]))
         ys = np.empty((len(stack), batch_size), dtype=np.int64)
-        bad_epoch = np.full(len(stack), -1)
+        bad = np.full(len(stack), -1)
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(epochs):
                 for start in range(0, n, batch_size):
@@ -195,22 +200,20 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
                     theta -= grad_theta
                     t -= cfg.lr_t * grad_t
                     ok = np.isfinite(f) & np.isfinite(t) & np.isfinite(theta).all(axis=1)
-                    bad_epoch[~ok & (bad_epoch < 0)] = epoch
-        for row, i in enumerate(members):
-            if bad_epoch[row] >= 0:
-                diverged[i] = int(bad_epoch[row])
-            else:
-                results[i] = (ModelParams(arch, theta[row]), float(t[row]))
-    if diverged:
-        first = min(diverged)
-        raise DivergenceError(-1, shards[first].user_id, diverged[first])
-    return results
+                    bad[~ok & (bad < 0)] = epoch
+        thetas[members], ts[members], bad_epoch[members] = theta, t, bad
+    diverged = np.flatnonzero(bad_epoch >= 0)
+    if diverged.size:
+        first = diverged[0]
+        raise DivergenceError(-1, shards[first].user_id, int(bad_epoch[first]))
+    return thetas, ts
 
 
 def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
                  cfg: TrainConfig, epoch_offset: int = 0) -> tuple[ModelParams, float]:
     """One shard's H local epochs from the broadcast pair; see :func:`local_updates`."""
-    return local_updates([shard], theta_in, t_in, cfg, epoch_offset)[0]
+    thetas, ts = local_updates([shard], theta_in, t_in, cfg, epoch_offset)
+    return ModelParams(theta_in.arch, thetas[0]), float(ts[0])
 
 
 def shard_loss(params: ModelParams, data: Dataset) -> float:
@@ -235,23 +238,21 @@ def run_round(state: GlobalState, channel, cfg: TrainConfig) -> GlobalState:
 
     Selection happens before the round's local updates, over the pairs the
     users forwarded at the end of the previous round. Each user's update is
-    a pure function of its shard and the broadcast pair.
+    a pure function of its shard and the broadcast pair; a diverged round
+    leaves the rows, the round count and the history as they were.
     """
-    candidates = [(u.params, u.t_local) for u in state.users]
-    selected, (theta_g, t_g) = channel.relay(candidates)
-    state.theta_global = theta_g
-    state.t_global = t_g
+    selected, (theta, t) = channel.relay(list(zip(state.thetas, state.ts)))
+    theta_g = state.theta_global = ModelParams(cfg.arch, theta.copy())
+    t_g = state.t_global = float(t)
     train_loss = shard_loss(theta_g, state.users[selected].data)
 
     try:
-        results = local_updates(state.users, theta_g, t_g, cfg, state.round * cfg.local_epochs)
+        state.thetas, state.ts = local_updates(state.users, theta_g, t_g, cfg,
+                                               state.round * cfg.local_epochs)
     except DivergenceError as err:
         err.round_index = state.round + 1
         err.history = state.history
         raise
-    for user, (params, t) in zip(state.users, results):
-        user.params = params
-        user.t_local = t
 
     state.round += 1
     state.history.rounds.append(
@@ -281,12 +282,11 @@ def train(datasets: list[Dataset], ram_weights, cfg: TrainConfig,
     else:
         channel = RandomAccessChannel(make_ram(ram_weights), cfg.seeds.ram)
 
-    theta0 = init_params(cfg.arch, cfg.seeds.init)
-    users = [
-        UserShard(i, ds, theta0.copy(), INITIAL_THRESHOLD)
-        for i, ds in enumerate(datasets)
-    ]
-    state = GlobalState(0, theta0.copy(), INITIAL_THRESHOLD, users, RunHistory())
+    theta0, k = init_params(cfg.arch, cfg.seeds.init), len(datasets)
+    state = GlobalState(0, theta0, INITIAL_THRESHOLD,
+                        [UserShard(i, ds) for i, ds in enumerate(datasets)],
+                        np.repeat(theta0.values[None, :], k, axis=0),
+                        np.full(k, INITIAL_THRESHOLD), RunHistory())
 
     for _ in range(cfg.global_rounds):
         run_round(state, channel, cfg)

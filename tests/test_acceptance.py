@@ -7,6 +7,7 @@ MNIST IDX files and reports an explicit skip when they are absent.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,8 @@ from ramfed.experiments import load_config, run_experiment
 from ramfed.models import LOGREG, MLP, ModelArch, ModelParams, init_params, loss_and_grad
 from ramfed.risk import RiskConfig, cvar_discrete, global_risk_objective, max_loss_limit_check
 from ramfed.training import (
-    GlobalState,
-    RunHistory,
     Seeds,
     TrainConfig,
-    UserShard,
     evaluate,
     run_round,
     train,
@@ -125,10 +123,8 @@ def test_risk_neutral_trajectory_matches_reference_fedavg():
     )
 
     # Engine path, round by round, recording the global vector each round.
-    theta0 = init_params(arch, cfg.seeds.init)
-    users = [UserShard(i, ds, theta0.copy(), 0.0) for i, ds in enumerate(shards)]
-    state = GlobalState(0, theta0.copy(), 0.0, users, RunHistory())
     channel = RandomAccessChannel(make_ram(SKEW), cfg.seeds.ram)
+    state, _ = train(shards, channel, replace(cfg, global_rounds=0))
     engine_trajectory = []
     for _ in range(rounds):
         run_round(state, channel, cfg)

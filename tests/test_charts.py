@@ -44,7 +44,7 @@ def test_regions_equal_argmax_on_the_mesh(tmp_path, arch):
     cfg = TrainConfig(arch, global_rounds=1, local_epochs=20, batch_size=16, lr_theta=0.5,
                       lr_t=0.0, risk=RiskConfig(1.0, 1.0), seeds=Seeds(1, 2, 3))
     start = init_params(arch, 1)
-    params, _ = local_update(UserShard(0, data, start, 0.0), start, 0.0, cfg)
+    params, _ = local_update(UserShard(0, data), start, 0.0, cfg)
     path = tmp_path / "decision_boundary.svg"
     charts.decision_boundary_chart(path, params, data, grid=GRID, margin=1.0)
 

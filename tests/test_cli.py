@@ -11,6 +11,37 @@ from ramfed.models import MLP, ModelArch, init_params, save_params
 from test_experiments import diverging_mlp, read_echo, tiny_config
 
 
+def mnist_config(tmp_path, idx_dir):
+    """A one-round MNIST-kind config that reads the IDX files under ``idx_dir``."""
+    config = tmp_path / "mnist.ini"
+    config.write_text(textwrap.dedent(f"""
+        [dataset]
+        kind = mnist
+        dir = {idx_dir}
+        test_subset = 20
+        [partition]
+        num_users = 4
+        frequent_fraction = 75
+        frequent_pattern_fraction = 80
+        [ram]
+        kind = tail_three
+        [train]
+        global_rounds = 1
+        local_epochs = 1
+        batch_size = 8
+        lr_theta = 0.01
+        lr_t = 0.001
+        model = mlp
+        hidden_dims = 5
+        [risk]
+        alpha = 0.3
+        gamma = 0.3
+        [run]
+        output_dir = {tmp_path / "run"}
+        """))
+    return config
+
+
 class TestSelfChecks:
     def test_check_grad_small(self):
         assert check_grad(trials=10) <= 1e-4
@@ -39,36 +70,35 @@ class TestCommands:
         (idx_dir / "t10k-images-idx3-ubyte").write_bytes(
             write_idx(rng.integers(0, 256, size=(30, 28, 28))))
         (idx_dir / "t10k-labels-idx1-ubyte").write_bytes(write_idx(np.arange(30) % 10))
-        config = tmp_path / "mnist.ini"
-        config.write_text(textwrap.dedent(f"""
-            [dataset]
-            kind = mnist
-            dir = {idx_dir}
-            test_subset = 20
-            [partition]
-            num_users = 4
-            frequent_fraction = 75
-            frequent_pattern_fraction = 80
-            [ram]
-            kind = tail_three
-            [train]
-            global_rounds = 1
-            local_epochs = 1
-            batch_size = 8
-            lr_theta = 0.01
-            lr_t = 0.001
-            model = mlp
-            hidden_dims = 5
-            [risk]
-            alpha = 0.3
-            gamma = 0.3
-            [run]
-            output_dir = {tmp_path / "run"}
-            """))
+        config = mnist_config(tmp_path, idx_dir)
         snapshot = tmp_path / "model.bin"
         save_params(init_params(ModelArch(MLP, 784, 10, (5,)), 3), snapshot)
         assert main(["eval", str(config), str(snapshot)]) == 0
         assert "overall accuracy" in capsys.readouterr().out
+
+    def test_malformed_idx_is_one_line_and_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        idx_dir.mkdir()
+        for split in ("train", "t10k"):
+            (idx_dir / f"{split}-images-idx3-ubyte").write_bytes(
+                write_idx(rng.integers(0, 256, size=(30, 28, 28))))
+            (idx_dir / f"{split}-labels-idx1-ubyte").write_bytes(write_idx(np.arange(30) % 10))
+        (idx_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00\x08\x04" + bytes(16))
+        assert main(["train", str(mnist_config(tmp_path, idx_dir))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "train-images-idx3-ubyte: bad magic 0x00000804 (offset 0)" in err
+
+    def test_uncoverable_partition_is_one_line_and_exit_2(self, tmp_path, capsys):
+        text = tiny_config(tmp_path).read_text().replace("num_users = 3", "num_users = 200")
+        config = tmp_path / "many_users.ini"
+        config.write_text(text.replace("kind = explicit\nweights = 0.5, 0.4, 0.1",
+                                       "kind = tail_three"))
+        assert main(["train", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cannot cover" in err
 
     def test_seed_override_is_deterministic(self, tmp_path):
         config = tiny_config(tmp_path)

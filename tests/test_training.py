@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class ScriptedChannel:
         return idx, candidates[idx]
 
 
+class RecordingChannel(ScriptedChannel):
+    """A scripted channel that keeps the bytes of each relayed pair."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.relayed = []
+
+    def relay(self, candidates):
+        idx, (theta, t) = super().relay(candidates)
+        self.relayed.append((theta.tobytes(), t))
+        return idx, (theta, t)
+
+
 class TestConfigValidation:
     def test_seed_nonnegative(self):
         with pytest.raises(ValueError):
@@ -78,7 +92,7 @@ class TestLocalUpdate:
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=0.0, lr_t=0.0)
         start = init_params(ARCH3, 5)
-        shard = UserShard(0, shards[0], start.copy(), 0.4)
+        shard = UserShard(0, shards[0])
         out_params, out_t = local_update(shard, start, 0.4, cfg)
         assert np.array_equal(out_params.values, start.values)
         assert out_t == 0.4
@@ -87,7 +101,7 @@ class TestLocalUpdate:
         shards, _ = fig_fixture()
         cfg = make_config(alpha=0.3, gamma=1.0, epochs=2)
         start = init_params(ARCH3, 5)
-        shard = UserShard(1, shards[1], start.copy(), 0.7)
+        shard = UserShard(1, shards[1])
         out_params, out_t = local_update(shard, start, 0.7, cfg)
         assert out_t == 0.7
 
@@ -107,7 +121,7 @@ class TestLocalUpdate:
         start = ModelParams(arch, np.zeros(arch.num_params))
         cfg = make_config(alpha=0.5, gamma=0.2, epochs=1, batch=1,
                           lr_theta=0.1, lr_t=0.01, arch=arch)
-        shard = UserShard(0, data, start.copy(), 0.3)
+        shard = UserShard(0, data)
         out_params, out_t = local_update(shard, start, 0.3, cfg)
 
         grad_hand = np.array([-0.5, 0.5, -1.0, 1.0, -0.5, 0.5])
@@ -121,7 +135,7 @@ class TestLocalUpdate:
         shards, _ = fig_fixture()
         cfg = make_config()
         start = init_params(ARCH3, 5)
-        shard = UserShard(2, shards[2], start.copy(), 0.0)
+        shard = UserShard(2, shards[2])
         a_params, a_t = local_update(shard, start, 0.0, cfg, epoch_offset=6)
         b_params, b_t = local_update(shard, start, 0.0, cfg, epoch_offset=6)
         assert np.array_equal(a_params.values, b_params.values)
@@ -158,7 +172,7 @@ class TestStepOracle:
         cfg = make_config(alpha=0.3, gamma=gamma, epochs=3, batch=5, lr_theta=lr_theta,
                           lr_t=0.3, arch=arch)
         start = init_params(arch, 5)
-        shard = UserShard(2, gen_synthetic_2d(3, 5, 0.6, 4).take(np.arange(13)), start, 0.9)
+        shard = UserShard(2, gen_synthetic_2d(3, 5, 0.6, 4).take(np.arange(13)))
         return shard, start, cfg
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
@@ -189,7 +203,7 @@ def stacked_users(lengths=(13, 13, 7, 13, 7), scales=(1.0,) * 5):
     users, start = [], 0
     for user_id, (n, scale) in enumerate(zip(lengths, scales)):
         part = pool.take(rows[start : start + n])
-        users.append(UserShard(user_id, Dataset(part.features * scale, part.labels, 3), None, 0.0))
+        users.append(UserShard(user_id, Dataset(part.features * scale, part.labels, 3)))
         start += n
     return users
 
@@ -212,15 +226,14 @@ class TestStackedUpdates:
                           lr_t=0.3, arch=arch)
         start = init_params(arch, 5)
         users = stacked_users()
-        state = GlobalState(2, start, 0.9, users, RunHistory())
-        for user in users:
-            user.params, user.t_local = start, 0.9
+        state = GlobalState(2, start, 0.9, users, np.repeat(start.values[None, :], 5, axis=0),
+                            np.full(5, 0.9), RunHistory())
         run_round(state, ScriptedChannel([1]), cfg)
-        for user in users:
+        for user, theta_row, t_row in zip(users, state.thetas, state.ts):
             (theta, t), diverged = reference_update(user, start, 0.9, cfg, epoch_offset=6)
             assert diverged is None
-            assert user.params.values.tobytes() == theta.tobytes()
-            assert user.t_local == t
+            assert theta_row.tobytes() == theta.tobytes()
+            assert t_row == t
             assert not np.array_equal(theta, start.values)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -273,9 +286,9 @@ class TestWholeRunReplay:
         selections, thresholds, pairs = eager_run(users, weights, cfg)
         assert history.selections() == selections
         assert [r.t_global for r in history.rounds] == thresholds
-        for user, (params, t) in zip(state.users, pairs):
-            assert user.params.values.tobytes() == params.values.tobytes()
-            assert user.t_local == t
+        for theta_row, t_row, (params, t) in zip(state.thetas, state.ts, pairs):
+            assert theta_row.tobytes() == params.values.tobytes()
+            assert t_row == t
 
 
 class TestRunRound:
@@ -297,8 +310,8 @@ class TestRunRound:
         channel = ScriptedChannel([2])
         theta0 = init_params(ARCH3, cfg.seeds.init)
         state, _ = train(shards, channel, cfg)
-        for user in state.users:
-            assert not np.array_equal(user.params.values, theta0.values)
+        for theta_row in state.thetas:
+            assert not np.array_equal(theta_row, theta0.values)
 
     def test_broadcast_fidelity_under_zero_steps(self):
         # With zero learning rates every user's pair after a round is
@@ -306,9 +319,34 @@ class TestRunRound:
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=0.0, lr_t=0.0, rounds=4)
         state, history = train(shards, [0.5, 0.4, 0.1], cfg)
-        for user in state.users:
-            assert np.array_equal(user.params.values, state.theta_global.values)
-            assert user.t_local == state.t_global
+        for theta_row, t_row in zip(state.thetas, state.ts):
+            assert np.array_equal(theta_row, state.theta_global.values)
+            assert t_row == state.t_global
+
+    def test_relay_reads_the_rows_the_last_round_wrote(self):
+        shards, _ = fig_fixture()
+        cfg = make_config(rounds=3)
+        channel = RecordingChannel([2, 0, 1])
+        state, _ = train(shards, channel, replace(cfg, global_rounds=0))
+        for selected in [2, 0, 1]:
+            row = state.thetas[selected].tobytes(), state.ts[selected]
+            run_round(state, channel, cfg)
+            assert channel.relayed[-1] == row
+            assert (state.theta_global.values.tobytes(), state.t_global) == row
+            assert type(state.t_global) is float
+            assert len({theta.tobytes() for theta in state.thetas}) == 3  # rows differ
+
+    def test_diverged_round_leaves_the_state(self):
+        shards, _ = fig_fixture()
+        cfg = make_config(rounds=2)
+        state, _ = train(shards, ScriptedChannel([2, 0]), cfg)
+        thetas, ts, rounds = state.thetas.copy(), state.ts.copy(), list(state.history.rounds)
+        with pytest.raises(DivergenceError):
+            run_round(state, ScriptedChannel([1]), replace(cfg, lr_theta=1e308))
+        assert state.round == 2
+        assert state.thetas.tobytes() == thetas.tobytes()
+        assert state.ts.tobytes() == ts.tobytes()
+        assert state.history.rounds == rounds
 
     def test_bit_identical_history_across_runs(self):
         shards, _ = fig_fixture()
