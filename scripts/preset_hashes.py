@@ -7,10 +7,14 @@ sha256 of `metrics.csv` and `model.bin` after `ramfed train` of the
 synthetic_smoke, fig2a, fig2b and fig2c presets and of synthetic_smoke as
 an MLP with `hidden_dims = 8,8`. A last line, `grid SUMMARY`, is the prefix
 of `sweep_summary.csv` after README's alpha x gamma grid (5 repeats) on
-synthetic_smoke. Each case runs `python -m ramfed.cli` from CHECKOUT/src
+synthetic_smoke. A final `mnist-fixture METRICS/MODEL` line trains the
+inputs that CHECKOUT/bench/workloads.py writes for mnist-mlp-train at seed 1
+and 4 seconds: the MNIST-shaped IDX fixture, tail_three selection, 5
+rounds. It is the one pinned run whose channel draws from weights that a
+second normalization moves. Each case runs `python -m ramfed.cli` from CHECKOUT/src
 with one BLAS thread in a temporary directory. Run it on two checkouts and
 compare the output to see whether a change kept the bytes. Standard library
-only.
+only, apart from what bench/workloads.py imports to write the fixture.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 
 DIGITS = 16
 MLP_8_8 = "synthetic_smoke_mlp8-8"
+MNIST_FIXTURE = "mnist-fixture"
 CASES = ("synthetic_smoke", "fig2a", "fig2b", "fig2c", MLP_8_8)
 GRID = ("--alpha", "1.0,0.3,0.2,0.1", "--gamma", "0.0,0.1,0.2,0.3,1.0", "--repeats", "5")
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -45,7 +50,16 @@ def ramfed(checkout: Path, work: Path, *args: str) -> None:
 
 
 def case_config(checkout: Path, name: str, work: Path) -> Path:
-    """A bundled preset, or synthetic_smoke with `model = mlp` and `hidden_dims = 8,8`."""
+    """A bundled preset, synthetic_smoke with `model = mlp` and `hidden_dims = 8,8`, or the
+    mnist-mlp-train benchmark's config over its IDX fixture, written under ``work``."""
+    if name == MNIST_FIXTURE:
+        sys.path.insert(0, str(checkout / "bench"))  # workloads imports its sibling reference
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        plan = workloads.make_plan("mnist-mlp-train", 1, 4, work / "plan")
+        return Path(plan["jobs"][0]["config"])
     if name != MLP_8_8:
         return checkout / "configs" / f"{name}.ini"
     text = (checkout / "configs" / "synthetic_smoke.ini").read_text(encoding="utf-8")
@@ -83,6 +97,7 @@ def main(argv=None) -> int:
     for name in CASES:
         print(case_line(args.checkout, name), flush=True)
     print(grid_line(args.checkout), flush=True)
+    print(case_line(args.checkout, MNIST_FIXTURE), flush=True)
     return 0
 
 

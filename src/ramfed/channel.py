@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .risk import check_probs
+
 GEOMETRIC = "geometric"
 TAIL_THREE = "tail_three"
 
@@ -22,18 +24,14 @@ TAIL_THREE_PROBS = (0.0107, 0.0078, 0.0053)
 
 @dataclass(frozen=True)
 class RamDistribution:
-    """Normalized user-selection weights."""
+    """Normalized user-selection weights: a vector :func:`~ramfed.risk.check_probs` accepts."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
+        w = check_probs(np.array(self.weights, dtype=np.float64), "weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty vector")
-        if abs(float(w.sum()) - 1.0) > 1e-12 or np.any(w < 0):
-            raise ValueError("weights must be nonnegative and sum to 1")
 
     @property
     def num_users(self) -> int:
@@ -41,17 +39,11 @@ class RamDistribution:
 
 
 def make_ram(raw_weights) -> RamDistribution:
-    """Validate and normalize raw nonnegative weights."""
+    """Normalize raw weights; :class:`RamDistribution` checks the result."""
     raw = np.asarray(raw_weights, dtype=np.float64)
-    if raw.ndim != 1 or raw.size < 1:
-        raise ValueError("weights must be a nonempty vector")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("weights must be finite")
-    if np.any(raw < 0):
-        raise ValueError("weights must be nonnegative")
     total = float(raw.sum())
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
+    if not (np.isfinite(raw).all() and total > 0):
+        raise ValueError("weights must be finite with a positive sum")
     return RamDistribution(raw / total)
 
 

@@ -52,7 +52,7 @@ def _cmd_eval(args) -> int:
         params = load_params(args.params)
         if params.arch != cfg.train.arch:
             raise ValueError(f"holds {params.arch}, config {args.config} needs {cfg.train.arch}")
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise experiments.ConfigError(f"snapshot {args.params}: {err}") from None
     metrics = evaluate(params, experiments.build_test_set(cfg))
     per_class = " ".join(f"{a:.4f}" for a in metrics.per_class_acc)

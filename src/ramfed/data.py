@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,10 +113,13 @@ def write_idx(arr: np.ndarray) -> bytes:
 
 
 def load_idx(path) -> np.ndarray:
-    """Read an IDX file, transparently decompressing gzip."""
+    """Read an IDX file, transparently decompressing gzip; faults name the file."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as err:
+            raise IdxFormatError(f"{path}: corrupt gzip stream: {err}") from None
     try:
         return parse_idx(raw)
     except IdxFormatError as err:
@@ -141,11 +145,11 @@ def load_idx_dataset(directory, split: str = "train") -> Dataset:
     """Load an MNIST-layout IDX directory as flattened [0,1] features."""
     image_stem, label_stem = _IDX_FILES[split]
     images = load_idx(find_idx_file(directory, image_stem))
-    labels = load_idx(find_idx_file(directory, label_stem))
+    label_path = find_idx_file(directory, label_stem)
+    labels = load_idx(label_path)
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}"
-        )
+        raise IdxFormatError(f"{label_path}: label count {labels.shape[0]} "
+                             f"!= image count {images.shape[0]}")
     features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     return Dataset(features, labels.astype(np.int64), num_classes=10)
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charts
-from .channel import GEOMETRIC, TAIL_THREE, make_ram, skewed_weights
+from .channel import GEOMETRIC, TAIL_THREE, RandomAccessChannel, make_ram, skewed_weights
 from .data import (Dataset, PartitionSpec, check_synthetic_2d, gen_synthetic_2d, load_idx_dataset,
                    partition_heterogeneous)
 from .models import LOGREG, MLP, ModelArch, atomic_write as atomic_write_text, save_params
@@ -195,10 +195,10 @@ def _read_section(name: str, raw: dict[str, str]) -> dict[str, object]:
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and eagerly validate an experiment config.
 
-    An unknown section, a key its section's kind does not read, a malformed
-    or non-UTF-8 file and a value its dataclass rejects raise ``ConfigError``,
-    named. With ``seed_override`` the config is ``reseed``-ed from that
-    integer. A run's ``config_echo.ini`` loads back to the config it ran.
+    An unknown section, a key its section's kind does not read, an unreadable,
+    malformed or non-UTF-8 file and a value its dataclass rejects raise
+    ``ConfigError``, named. With ``seed_override`` the config is ``reseed``-ed
+    from that integer. A run's ``config_echo.ini`` loads back to the config it ran.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -215,7 +215,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 found.setdefault(owner, {})[attr] = value
         cfg = _build_config(found)
         return cfg if seed_override is None else reseed(cfg, seed_override)
-    except (ValueError, configparser.Error) as err:
+    except (OSError, ValueError, configparser.Error) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(str(err)) from err
@@ -418,13 +418,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     """
     shards, test, pooled = build_datasets(cfg)
     weights = resolve_ram_weights(cfg)
+    # Normalized a second time, as runs always were: that moves tail_three weights by up
+    # to 2.8e-17, which could move a draw that lands on a cumulative-weight boundary.
+    channel = RandomAccessChannel(make_ram(weights), cfg.train.seeds.ram)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     echo_path = cfg.output_dir / "config_echo.ini"
     write_config_echo(cfg, echo_path)
     metrics_path = cfg.output_dir / "metrics.csv"
 
     try:
-        state, history = train(shards, weights, cfg.train, eval_data=test, eval_every=cfg.eval_every)
+        state, history = train(shards, channel, cfg.train, eval_data=test,
+                               eval_every=cfg.eval_every)
     except DivergenceError as err:
         if err.history is not None:
             atomic_write_text(

@@ -37,12 +37,14 @@ class RiskConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-def _check_probs(probs: np.ndarray) -> np.ndarray:
+def check_probs(probs, name: str = "probs") -> np.ndarray:
+    """The probability-vector rule, as float64: 1-D, nonempty, nonnegative (so no NaN),
+    summing to 1 within 1e-12. ``name`` leads the ValueError's message."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 1:
-        raise ValueError("probs must be a nonempty vector")
-    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-        raise ValueError("probs must be nonnegative and sum to 1")
+        raise ValueError(f"{name} must be a nonempty vector")
+    if not (np.all(probs >= 0) and abs(float(probs.sum()) - 1.0) <= 1e-12):
+        raise ValueError(f"{name} must be nonnegative and sum to 1")
     return probs
 
 
@@ -79,7 +81,7 @@ def cvar_discrete(values, probs, alpha: float) -> float:
     once alpha is at most the smallest positive probability.
     """
     values = np.asarray(values, dtype=np.float64)
-    probs = _check_probs(probs)
+    probs = check_probs(probs)
     if values.shape != probs.shape:
         raise ValueError("values and probs must have matching length")
     if not 0.0 < alpha <= 1.0:
@@ -106,7 +108,7 @@ def cvar_grid_oracle(values, probs, alpha: float, t_lo: float, t_hi: float,
     test suite verifies independently on scanned profiles).
     """
     values = np.asarray(values, dtype=np.float64)
-    probs = _check_probs(probs)
+    probs = check_probs(probs)
     if step <= 0:
         raise ValueError("step must be positive")
     if not (t_lo <= float(values.min()) and float(values.max()) <= t_hi):
@@ -159,7 +161,7 @@ def global_risk_objective(losses, probs, cfg: RiskConfig) -> tuple[float, float]
     selection distribution.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    probs = _check_probs(probs)
+    probs = check_probs(probs)
     if losses.shape != probs.shape:
         raise ValueError("losses and probs must have matching length")
     cvar, t_star = _tail_average(losses, probs, cfg.alpha)
@@ -175,7 +177,7 @@ def max_loss_limit_check(losses, probs, cfg: RiskConfig) -> float:
     support. Asserts agreement with global_risk_objective to 1e-12.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    probs = _check_probs(probs)
+    probs = check_probs(probs)
     positive = probs > 0
     min_prob = float(probs[positive].min())
     if cfg.alpha > min_prob:

@@ -8,9 +8,10 @@ User u's candidate pair is row u of ``GlobalState.thetas`` (K, P) and of
 ``GlobalState.ts`` (K,), not a per-user object. The risk-neutral baseline
 is the gamma = 1 special case of the same loop; no separate code path exists.
 
-This module never reads the channel's selection weights. It drives any
-object exposing ``relay(candidates) -> (index, candidate)``, which is what
-keeps the selection distribution invisible to the training path.
+This module never sees the channel's selection weights, nor imports the
+channel module: :func:`train` is handed any object exposing
+``relay(candidates) -> (index, candidate)``, which is what keeps the
+selection distribution invisible to the training path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import RandomAccessChannel, make_ram
 from .data import Dataset, shuffle_orders
 from .models import (ModelParams, _loss_and_grad_into, check_labels, cross_entropy, forward,
                      init_params, split_layers)
@@ -159,12 +159,11 @@ def local_updates(shards: list[UserShard], theta_in: ModelParams, t_in: float,
     skips ``take``'s buffering: a permutation's indices are in range). Each step checks
     every batch loss, t and theta row, the run's one divergence check, so NumPy's overflow
     and invalid-value warnings are silenced here; DivergenceError names the first diverged
-    shard in list order, at its first bad local epoch.
+    shard in list order, at its first bad local epoch. Labels are :func:`train`'s to check.
     """
     arch = theta_in.arch
     groups: dict[int, list[int]] = {}
     for i, shard in enumerate(shards):
-        check_labels(shard.data.labels, arch)
         groups.setdefault(len(shard.data), []).append(i)
     cap = max(1, STACK_FLOATS // arch.num_params)  # users per stack
     stacks = [(n, ids[j : j + cap]) for n, ids in groups.items() for j in range(0, len(ids), cap)]
@@ -267,21 +266,18 @@ def selection_frequencies(history: RunHistory, num_users: int) -> np.ndarray:
     return counts / total if total > 0 else counts
 
 
-def train(datasets: list[Dataset], ram_weights, cfg: TrainConfig,
+def train(datasets: list[Dataset], channel, cfg: TrainConfig,
           eval_data: Dataset | None = None, eval_every: int = 0) -> tuple[GlobalState, RunHistory]:
     """Run the full round loop over pre-partitioned user datasets.
 
-    ``ram_weights`` is either a raw weight vector (a channel is built from
-    it with the dedicated selection seed) or any object already exposing
-    ``relay``; K is ``len(datasets)``, and a relay over weights for another K
-    raises ValueError. Every user starts from the identical (theta, t) pair.
-    The returned history is a pure function of (datasets, ram_weights, cfg).
+    ``channel`` is any object with ``relay(candidates) -> (index, candidate)``,
+    handed the K = ``len(datasets)`` forwarded pairs each round. Each shard's
+    labels are checked against ``cfg.arch`` once, before the first relay.
+    Every user starts from the identical (theta, t) pair. The history is a
+    pure function of (datasets, the channel's relays, cfg).
     """
-    if hasattr(ram_weights, "relay"):
-        channel = ram_weights
-    else:
-        channel = RandomAccessChannel(make_ram(ram_weights), cfg.seeds.ram)
-
+    for data in datasets:
+        check_labels(data.labels, cfg.arch)
     theta0, k = init_params(cfg.arch, cfg.seeds.init), len(datasets)
     state = GlobalState(0, theta0, INITIAL_THRESHOLD,
                         [UserShard(i, ds) for i, ds in enumerate(datasets)],

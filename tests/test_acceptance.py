@@ -62,7 +62,7 @@ def synthetic_run(seed: int, alpha: float, gamma: float, rounds=None):
         batch_size=fx["batch"], lr_theta=fx["lr_theta"], lr_t=fx["lr_t"],
         risk=RiskConfig(alpha, gamma), seeds=Seeds(seed, seed + 1, seed + 2),
     )
-    state, _ = train(shards, SKEW, cfg)
+    state, _ = train(shards, RandomAccessChannel(make_ram(SKEW), cfg.seeds.ram), cfg)
     return evaluate(state.theta_global, test).per_class_acc
 
 

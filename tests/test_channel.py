@@ -6,12 +6,14 @@ from ramfed.channel import (
     GEOMETRIC,
     TAIL_THREE,
     TAIL_THREE_PROBS,
+    RamDistribution,
     RandomAccessChannel,
     make_ram,
     relay,
     sample,
     skewed_weights,
 )
+from ramfed.risk import cvar_discrete
 
 
 class TestMakeRam:
@@ -36,6 +38,22 @@ class TestMakeRam:
         ram = make_ram([0.5, 0.5])
         with pytest.raises(ValueError):
             ram.weights[0] = 0.9
+
+
+MALFORMED = {"empty": [], "2-D": [[0.5], [0.5]], "negative": [-0.5, 1.5],
+             "sum off by 1e-9": [0.5, 0.5 + 1e-9], "NaN": [np.nan, 1.0]}
+PROBABILITY_CHECKS = {"make_ram": make_ram, "RamDistribution": RamDistribution,
+                      "cvar_discrete": lambda p: cvar_discrete(np.zeros(np.shape(p)), p, 0.5)}
+
+
+# make_ram takes raw weights and normalizes their sum, so an off sum is legal input to it.
+@pytest.mark.parametrize("check, vector", [
+    pytest.param(PROBABILITY_CHECKS[c], v, id=f"{c}-{k}")
+    for c in PROBABILITY_CHECKS for k, v in MALFORMED.items()
+    if (c, k) != ("make_ram", "sum off by 1e-9")])
+def test_one_probability_rule_rejects_malformed_vectors(check, vector):
+    with pytest.raises(ValueError):
+        check(vector)
 
 
 class TestSample:

@@ -1,3 +1,4 @@
+import gzip
 import textwrap
 
 import numpy as np
@@ -42,6 +43,18 @@ def mnist_config(tmp_path, idx_dir):
     return config
 
 
+def write_idx_dir(tmp_path, rows=30):
+    """MNIST-layout train and t10k IDX files of ``rows`` random images each."""
+    rng = np.random.default_rng(0)
+    idx_dir = tmp_path / "idx"
+    idx_dir.mkdir()
+    for split in ("train", "t10k"):
+        (idx_dir / f"{split}-images-idx3-ubyte").write_bytes(
+            write_idx(rng.integers(0, 256, size=(rows, 28, 28))))
+        (idx_dir / f"{split}-labels-idx1-ubyte").write_bytes(write_idx(np.arange(rows) % 10))
+    return idx_dir
+
+
 class TestSelfChecks:
     def test_check_grad_small(self):
         assert check_grad(trials=10) <= 1e-4
@@ -77,18 +90,42 @@ class TestCommands:
         assert "overall accuracy" in capsys.readouterr().out
 
     def test_malformed_idx_is_one_line_and_exit_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        idx_dir = tmp_path / "idx"
-        idx_dir.mkdir()
-        for split in ("train", "t10k"):
-            (idx_dir / f"{split}-images-idx3-ubyte").write_bytes(
-                write_idx(rng.integers(0, 256, size=(30, 28, 28))))
-            (idx_dir / f"{split}-labels-idx1-ubyte").write_bytes(write_idx(np.arange(30) % 10))
+        idx_dir = write_idx_dir(tmp_path)
         (idx_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00\x08\x04" + bytes(16))
         assert main(["train", str(mnist_config(tmp_path, idx_dir))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "train-images-idx3-ubyte: bad magic 0x00000804 (offset 0)" in err
+
+    def test_idx_count_mismatch_is_one_line_and_exit_2(self, tmp_path, capsys):
+        idx_dir = write_idx_dir(tmp_path)
+        (idx_dir / "train-labels-idx1-ubyte").write_bytes(write_idx(np.arange(29) % 10))
+        assert main(["train", str(mnist_config(tmp_path, idx_dir))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "train-labels-idx1-ubyte: label count 29 != image count 30" in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: blob[:10] + b"\xff" * 30,
+        lambda blob: blob[:-8] + bytes(4) + blob[-4:],
+    ], ids=["truncated", "bad-deflate", "bad-crc"])
+    def test_corrupt_gzip_idx_is_one_line_and_exit_2(self, tmp_path, capsys, damage):
+        idx_dir = write_idx_dir(tmp_path)
+        path = idx_dir / "train-labels-idx1-ubyte"
+        (idx_dir / "train-labels-idx1-ubyte.gz").write_bytes(
+            damage(gzip.compress(path.read_bytes())))
+        path.unlink()
+        assert main(["train", str(mnist_config(tmp_path, idx_dir))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "train-labels-idx1-ubyte.gz: corrupt gzip stream" in err
+
+    def test_directory_as_config_is_one_line_and_exit_2(self, tmp_path, capsys):
+        assert main(["train", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
 
     def test_uncoverable_partition_is_one_line_and_exit_2(self, tmp_path, capsys):
         text = tiny_config(tmp_path).read_text().replace("num_users = 3", "num_users = 200")
@@ -140,7 +177,8 @@ class TestCommands:
         (lambda path: save_params(init_params(ModelArch(MLP, 784, 10, (5,)), 3), path),
          "input_dim=784, num_classes=10, hidden_dims=(5,)), config"),
         (lambda path: path.write_bytes(b"RFP1\x07"), "truncated snapshot"),
-    ], ids=["architecture-mismatch", "truncated"])
+        (lambda path: path.mkdir(), "Is a directory"),
+    ], ids=["architecture-mismatch", "truncated", "directory"])
     def test_bad_snapshot_is_one_line_and_exit_2(self, tmp_path, capsys, snapshot, named):
         config = tiny_config(tmp_path)
         path = tmp_path / "model.bin"

@@ -26,3 +26,10 @@ def test_mlp_case_is_synthetic_smoke_as_mlp_8_8(tmp_path):
     assert (mlp.train.arch.kind, mlp.train.arch.hidden_dims) == (MLP, (8, 8))
     assert (mlp.dataset, mlp.partition, mlp.train.global_rounds) == (
         smoke.dataset, smoke.partition, smoke.train.global_rounds)
+
+
+def test_mnist_fixture_case_is_the_benchmark_config_at_seed_1(tmp_path):
+    cfg = load_config(preset_hashes.case_config(ROOT, preset_hashes.MNIST_FIXTURE, tmp_path))
+    assert (cfg.dataset.kind, cfg.ram.kind, cfg.train.global_rounds) == ("mnist", "tail_three", 5)
+    assert (cfg.train.arch.kind, cfg.train.arch.hidden_dims) == (MLP, (64,))
+    assert Path(cfg.dataset.dir).parent == tmp_path / "plan"

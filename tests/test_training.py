@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ramfed.channel
 import ramfed.training
 from ramfed.channel import RandomAccessChannel, make_ram
 from ramfed.data import Dataset, PartitionSpec, batches, gen_synthetic_2d, partition_heterogeneous
@@ -44,6 +45,11 @@ def fig_fixture(seed=11, per_class=60, spread=0.4):
     shards = partition_heterogeneous(data, PartitionSpec(3, 67, 67, seed=seed + 1))
     test = gen_synthetic_2d(3, per_class, spread, seed + 500)
     return shards, test
+
+
+def ram_channel(weights, cfg):
+    """The channel a run over these raw weights relays through."""
+    return RandomAccessChannel(make_ram(weights), cfg.seeds.ram)
 
 
 class ScriptedChannel:
@@ -254,7 +260,7 @@ class TestStackedUpdates:
 def eager_run(users, weights, cfg):
     """An independent eager engine: the channel's relay, then each user's
     reference step loop from the relayed pair, one user after another."""
-    channel = RandomAccessChannel(make_ram(weights), cfg.seeds.ram)
+    channel = ram_channel(weights, cfg)
     theta0 = init_params(cfg.arch, cfg.seeds.init)
     pairs = [(theta0, INITIAL_THRESHOLD)] * len(users)
     selections, thresholds = [], []
@@ -282,7 +288,7 @@ class TestWholeRunReplay:
                           lr_theta=0.2, lr_t=0.05, arch=arch)
         users = stacked_users()
         weights = [0.3, 0.25, 0.2, 0.15, 0.1]
-        state, history = train([u.data for u in users], weights, cfg)
+        state, history = train([u.data for u in users], ram_channel(weights, cfg), cfg)
         selections, thresholds, pairs = eager_run(users, weights, cfg)
         assert history.selections() == selections
         assert [r.t_global for r in history.rounds] == thresholds
@@ -295,13 +301,13 @@ class TestRunRound:
     def test_single_user_reduces_to_centralized(self):
         data = gen_synthetic_2d(3, 30, 0.4, 1)
         cfg = make_config()
-        state, history = train([data], [1.0], cfg)
+        state, history = train([data], ram_channel([1.0], cfg), cfg)
         assert all(rec.selected_user == 0 for rec in history.rounds)
 
     def test_point_mass_always_relays_that_user(self):
         shards, _ = fig_fixture()
         cfg = make_config(rounds=10)
-        state, history = train(shards, [0.0, 0.0, 1.0], cfg)
+        state, history = train(shards, ram_channel([0.0, 0.0, 1.0], cfg), cfg)
         assert all(rec.selected_user == 2 for rec in history.rounds)
 
     def test_non_selected_users_still_train(self):
@@ -318,7 +324,7 @@ class TestRunRound:
         # bit-equal to the relayed pair, proving they started from it.
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=0.0, lr_t=0.0, rounds=4)
-        state, history = train(shards, [0.5, 0.4, 0.1], cfg)
+        state, history = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
         for theta_row, t_row in zip(state.thetas, state.ts):
             assert np.array_equal(theta_row, state.theta_global.values)
             assert t_row == state.t_global
@@ -351,8 +357,8 @@ class TestRunRound:
     def test_bit_identical_history_across_runs(self):
         shards, _ = fig_fixture()
         cfg = make_config(rounds=15)
-        _, h1 = train(shards, [0.5, 0.4, 0.1], cfg)
-        _, h2 = train(shards, [0.5, 0.4, 0.1], cfg)
+        _, h1 = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
+        _, h2 = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
         assert h1.selections() == h2.selections()
         for a, b in zip(h1.rounds, h2.rounds):
             assert a.t_global == b.t_global
@@ -363,15 +369,16 @@ class TestTrain:
     def test_zero_rounds(self):
         shards, _ = fig_fixture()
         cfg = make_config(rounds=0)
-        state, history = train(shards, [0.5, 0.4, 0.1], cfg)
+        state, history = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
         assert history.rounds == []
         theta0 = init_params(ARCH3, cfg.seeds.init)
         assert np.array_equal(state.theta_global.values, theta0.values)
 
     def test_shard_count_checked(self):
         shards, _ = fig_fixture()
+        cfg = make_config()
         with pytest.raises(ValueError):
-            train(shards, [0.25] * 4, make_config())
+            train(shards, ram_channel([0.25] * 4, cfg), cfg)
 
     def test_gamma_one_matches_reference_fedavg(self):
         # Independent risk-neutral reference: plain SGD on the batch loss,
@@ -380,7 +387,7 @@ class TestTrain:
         cfg = make_config(alpha=1.0, gamma=1.0, rounds=30, epochs=2)
         weights = np.array([0.5, 0.4, 0.1])
 
-        state, history = train(shards, weights, cfg)
+        state, history = train(shards, ram_channel(weights, cfg), cfg)
 
         thetas = [init_params(ARCH3, cfg.seeds.init).values.copy() for _ in shards]
         rng = np.random.default_rng(cfg.seeds.ram)
@@ -403,11 +410,29 @@ class TestTrain:
         assert diff <= 1e-12
         assert state.t_global == 0.0
 
+    def test_labels_checked_before_any_relay(self):
+        shards, _ = fig_fixture()
+        labels = shards[2].labels.copy()
+        labels[0] = ARCH3.num_classes
+        bad = Dataset(shards[2].features, labels, ARCH3.num_classes + 1)
+        channel = ScriptedChannel([0])
+        with pytest.raises(ValueError, match="labels"):
+            train([shards[0], shards[1], bad], channel, make_config())
+        assert channel.calls == 0
+
+    def test_labels_checked_once_per_shard_per_run(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(ramfed.training, "check_labels",
+                            lambda labels, arch: checked.append(len(labels)))
+        shards, _ = fig_fixture()
+        train(shards, ScriptedChannel([0, 1, 2]), make_config(rounds=4))
+        assert checked == [len(shard) for shard in shards]
+
     def test_divergence_error_carries_context_and_history(self):
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=1e308, rounds=5)
         with pytest.raises(DivergenceError) as exc_info:
-            train(shards, [0.5, 0.4, 0.1], cfg)
+            train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
         err = exc_info.value
         assert err.round_index >= 1
         assert 0 <= err.user_id < 3
@@ -427,7 +452,7 @@ class TestEvaluate:
     def test_perfect_predictor_on_tight_blobs(self):
         shards, test = fig_fixture(spread=0.1)
         cfg = make_config(rounds=60)
-        state, _ = train(shards, [0.4, 0.4, 0.2], cfg)
+        state, _ = train(shards, ram_channel([0.4, 0.4, 0.2], cfg), cfg)
         metrics = evaluate(state.theta_global, test)
         assert metrics.overall_acc == 1.0
         np.testing.assert_allclose(metrics.per_class_acc, 1.0)
@@ -456,6 +481,12 @@ class TestChannelOpacity:
         assert ".weights" not in source
         assert "RamDistribution" not in source
 
+    def test_training_holds_nothing_from_the_channel_module(self):
+        held = [name for name, value in vars(ramfed.training).items()
+                if value is ramfed.channel
+                or getattr(value, "__module__", None) == ramfed.channel.__name__]
+        assert held == []
+
     def test_relay_only_stand_in_drives_training(self):
         shards, _ = fig_fixture()
         cfg = make_config(rounds=6)
@@ -482,7 +513,7 @@ class TestDiagnostics:
             cfg = make_config(alpha=alpha, gamma=gamma, rounds=150, epochs=2,
                               batch=90, lr_theta=0.01, lr_t=0.001,
                               seeds=(seed, seed + 1, seed + 2))
-            state, _ = train(shards, [0.5, 0.4, 0.1], cfg)
+            state, _ = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
             losses = [shard_loss(state.theta_global, s.data) for s in state.users]
             return float(np.std(losses))
 
