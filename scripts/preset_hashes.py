@@ -5,16 +5,17 @@
 One line per case, `NAME METRICS/MODEL`: the first 16 hex digits of the
 sha256 of `metrics.csv` and `model.bin` after `ramfed train` of the
 synthetic_smoke, fig2a, fig2b and fig2c presets and of synthetic_smoke as
-an MLP with `hidden_dims = 8,8`. A last line, `grid SUMMARY`, is the prefix
-of `sweep_summary.csv` after README's alpha x gamma grid (5 repeats) on
-synthetic_smoke. A final `mnist-fixture METRICS/MODEL` line trains the
+an MLP with `hidden_dims = 8,8`. Then `grid SUMMARY` is the prefix of
+`sweep_summary.csv` after README's alpha x gamma grid (5 repeats) on
+synthetic_smoke. A last `mnist-fixture METRICS/MODEL` line trains the
 inputs that CHECKOUT/bench/workloads.py writes for mnist-mlp-train at seed 1
 and 4 seconds: the MNIST-shaped IDX fixture, tail_three selection, 5
 rounds. It is the one pinned run whose channel draws from weights that a
-second normalization moves. Each case runs `python -m ramfed.cli` from CHECKOUT/src
-with one BLAS thread in a temporary directory. Run it on two checkouts and
-compare the output to see whether a change kept the bytes. Standard library
-only, apart from what bench/workloads.py imports to write the fixture.
+second normalization moves. Each case runs `python -m ramfed.cli` from
+CHECKOUT/src with one BLAS thread in a temporary directory. Run it on two
+checkouts and compare the output to see whether a change kept the bytes.
+Standard library only, apart from what bench/workloads.py imports (NumPy)
+to write the fixture.
 """
 
 from __future__ import annotations
