@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .data import IdxFormatError, PartitionError, gen_synthetic_2d, save_csv
+from .data import InputError, gen_synthetic_2d, save_csv
 from .models import (LOGREG, MLP, Batch, ModelArch, ModelParams, finite_diff_grad,
                      init_params, load_params, loss_and_grad)
 from .risk import RiskConfig, composite_grads, composite_loss, cvar_discrete, cvar_grid_oracle
@@ -53,7 +53,7 @@ def _cmd_eval(args) -> int:
         if params.arch != cfg.train.arch:
             raise ValueError(f"holds {params.arch}, config {args.config} needs {cfg.train.arch}")
     except (OSError, ValueError) as err:
-        raise experiments.ConfigError(f"snapshot {args.params}: {err}") from None
+        raise InputError(f"snapshot {args.params}: {err}") from None
     metrics = evaluate(params, experiments.build_test_set(cfg))
     per_class = " ".join(f"{a:.4f}" for a in metrics.per_class_acc)
     print(f"overall accuracy: {metrics.overall_acc:.4f}")
@@ -79,7 +79,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_data(args) -> int:
     cfg = experiments.load_config(args.config, seed_override=args.seed)
     if cfg.dataset.kind != experiments.SYNTHETIC:
-        raise experiments.ConfigError("gen-data only applies to synthetic2d configs")
+        raise InputError("gen-data only applies to synthetic2d configs")
     ds = cfg.dataset
     data = gen_synthetic_2d(ds.num_classes, ds.per_class, ds.spread, ds.seed)
     save_csv(data, args.out)
@@ -212,8 +212,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (experiments.ConfigError, FileNotFoundError, IdxFormatError, PartitionError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (InputError, OSError) as err:  # every path the CLI opens is the user's
+        print("error:", *str(err).splitlines(), file=sys.stderr)  # configparser's span lines
         return 2
 
 

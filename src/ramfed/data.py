@@ -23,14 +23,12 @@ IDX_MAGIC_LABELS = 0x00000801
 IDX_MAGIC_IMAGES = 0x00000803
 
 BLOB_RADIUS = 3.0
+# NumPy's standard normal draws lie within 14 of 0, so this spread keeps every feature finite.
+MAX_SPREAD = float(np.finfo(np.float64).max) / 16
 
 
-class IdxFormatError(ValueError):
-    """Malformed IDX payload; the message names the offending byte offset."""
-
-
-class PartitionError(ValueError):
-    """The requested split would leave some user without data."""
+class InputError(ValueError):
+    """A config, snapshot or data file the program cannot use; the message names the file or key."""
 
 
 @dataclass
@@ -71,17 +69,17 @@ def parse_idx(buf: bytes) -> np.ndarray:
     tensor. Dimension sizes are big-endian u32, payload is row-major uint8.
     """
     if len(buf) < 4:
-        raise IdxFormatError(f"truncated header: need 4 magic bytes, have {len(buf)} (offset 0)")
+        raise InputError(f"truncated header: need 4 magic bytes, have {len(buf)} (offset 0)")
     (magic,) = struct.unpack_from(">I", buf, 0)
     if magic == IDX_MAGIC_LABELS:
         ndim = 1
     elif magic == IDX_MAGIC_IMAGES:
         ndim = 3
     else:
-        raise IdxFormatError(f"bad magic 0x{magic:08x} (offset 0)")
+        raise InputError(f"bad magic 0x{magic:08x} (offset 0)")
     header_end = 4 + 4 * ndim
     if len(buf) < header_end:
-        raise IdxFormatError(
+        raise InputError(
             f"truncated header: need {ndim} dimension sizes, payload ends at offset {len(buf)}"
         )
     dims = struct.unpack_from(f">{ndim}I", buf, 4)
@@ -89,12 +87,12 @@ def parse_idx(buf: bytes) -> np.ndarray:
     for d in dims:
         count *= d
     if count > len(buf) - header_end:
-        raise IdxFormatError(
+        raise InputError(
             f"dimension product {count} overflows payload of "
             f"{len(buf) - header_end} bytes (offset {header_end})"
         )
     if len(buf) - header_end > count:
-        raise IdxFormatError(f"trailing bytes after payload (offset {header_end + count})")
+        raise InputError(f"trailing bytes after payload (offset {header_end + count})")
     data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=header_end)
     return data.reshape(dims)
 
@@ -119,11 +117,11 @@ def load_idx(path) -> np.ndarray:
         try:
             raw = gzip.decompress(raw)
         except (EOFError, gzip.BadGzipFile, zlib.error) as err:
-            raise IdxFormatError(f"{path}: corrupt gzip stream: {err}") from None
+            raise InputError(f"{path}: corrupt gzip stream: {err}") from None
     try:
         return parse_idx(raw)
-    except IdxFormatError as err:
-        raise IdxFormatError(f"{path}: {err}") from None
+    except InputError as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 _IDX_FILES = {
@@ -142,16 +140,22 @@ def find_idx_file(directory, stem: str) -> Path:
 
 
 def load_idx_dataset(directory, split: str = "train") -> Dataset:
-    """Load an MNIST-layout IDX directory as flattened [0,1] features."""
+    """Load an MNIST-layout IDX directory as flattened [0,1] features; faults name the file."""
     image_stem, label_stem = _IDX_FILES[split]
-    images = load_idx(find_idx_file(directory, image_stem))
+    image_path = find_idx_file(directory, image_stem)
+    images = load_idx(image_path)
+    if images.shape[1:] != (28, 28):
+        raise InputError(f"{image_path}: images of shape {images.shape}, need (n, 28, 28)")
     label_path = find_idx_file(directory, label_stem)
     labels = load_idx(label_path)
     if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError(f"{label_path}: label count {labels.shape[0]} "
-                             f"!= image count {images.shape[0]}")
-    features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(features, labels.astype(np.int64), num_classes=10)
+        raise InputError(f"{label_path}: label count {labels.shape[0]} "
+                         f"!= image count {images.shape[0]}")
+    features = images.reshape(len(images), 28 * 28).astype(np.float64) / 255.0
+    try:
+        return Dataset(features, labels, num_classes=10)
+    except ValueError as err:
+        raise InputError(f"{image_path} and {label_path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +169,8 @@ def check_synthetic_2d(num_classes: int, per_class: int, spread: float,
         raise ValueError("num_classes must be >= 2")
     if per_class < 1:
         raise ValueError(f"{size_name} must be >= 1")
-    if not spread >= 0:
-        raise ValueError("spread must be nonnegative")
+    if not 0 <= spread <= MAX_SPREAD:
+        raise ValueError(f"spread must be in [0, {MAX_SPREAD:.4g}]")
 
 
 def gen_synthetic_2d(num_classes: int, per_class: int, spread: float, seed: int) -> Dataset:
@@ -267,7 +271,7 @@ def partition_indices(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
     present = np.unique(data.labels)
     if present.size != data.num_classes:
         missing = sorted(set(range(data.num_classes)) - set(present.tolist()))
-        raise PartitionError(f"classes {missing} absent from the dataset")
+        raise InputError(f"classes {missing} absent from the dataset")
 
     rng = np.random.default_rng(spec.seed)
     shards: list[list[np.ndarray]] = [[] for _ in range(spec.num_users)]
@@ -281,7 +285,7 @@ def partition_indices(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
     ]
     for indices, first_user, group_size in groups:
         if indices.size < group_size:
-            raise PartitionError(
+            raise InputError(
                 f"{indices.size} samples cannot cover {group_size} users "
                 f"starting at user {first_user}"
             )

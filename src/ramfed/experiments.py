@@ -27,8 +27,8 @@ import numpy as np
 
 from . import charts
 from .channel import GEOMETRIC, TAIL_THREE, RandomAccessChannel, make_ram, skewed_weights
-from .data import (Dataset, PartitionSpec, check_synthetic_2d, gen_synthetic_2d, load_idx_dataset,
-                   partition_heterogeneous)
+from .data import (Dataset, InputError, PartitionSpec, check_synthetic_2d, gen_synthetic_2d,
+                   load_idx_dataset, partition_heterogeneous)
 from .models import LOGREG, MLP, ModelArch, atomic_write as atomic_write_text, save_params
 from .risk import RiskConfig
 from .training import DivergenceError, RunHistory, Seeds, TrainConfig, train
@@ -43,10 +43,6 @@ EXPLICIT = "explicit"
 
 # Offset separating the synthetic test-set stream from the train stream.
 _TEST_SEED_OFFSET = 900_001
-
-
-class ConfigError(ValueError):
-    """Unknown key or invariant violation; the message names both."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,9 @@ class DatasetConfig:
     def __post_init__(self):
         if self.test_per_class is None:
             object.__setattr__(self, "test_per_class", self.per_class)
-        if self.seed < 0 or self.subset_seed < 0:
-            raise ValueError("[dataset] seed and subset_seed must be nonnegative")
+        for name in ("seed", "subset_seed", "subset", "test_subset"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"[dataset] {name} must be nonnegative")
         if self.kind == SYNTHETIC:
             check_synthetic_2d(self.num_classes, self.per_class, self.spread)
             check_synthetic_2d(self.num_classes, self.test_per_class, self.spread, "test_per_class")
@@ -165,12 +162,12 @@ def _value(name: str, key: str, raw: dict[str, str]):
     field = _FIELDS[name][key][1]
     if key not in raw:
         if field.default is MISSING:
-            raise ConfigError(f"[{name}] missing required key '{key}'")
+            raise InputError(f"[{name}] missing required key '{key}'")
         return field.default
     try:
         return _PARSERS[field.type](raw[key])
     except ValueError as err:
-        raise ConfigError(f"[{name}] {key}: {err}") from err
+        raise InputError(f"[{name}] {key}: {err}") from err
 
 
 def _read_section(name: str, raw: dict[str, str]) -> dict[str, object]:
@@ -181,24 +178,25 @@ def _read_section(name: str, raw: dict[str, str]) -> dict[str, object]:
     read_by_some_kind = {key for kind in kinds for key in section_keys(name, kind)}
     for key in raw:
         if key not in read_by_some_kind and key not in ignored:
-            raise ConfigError(f"[{name}] unknown key '{key}'")
+            raise InputError(f"[{name}] unknown key '{key}'")
     kind = _value(name, kind_key, raw).lower() if kind_key else None
     if kind not in kinds:
-        raise ConfigError(f"[{name}] unknown {kind_key} '{kind}'")
+        raise InputError(f"[{name}] unknown {kind_key} '{kind}'")
     keys = section_keys(name, kind)
     for key in raw:
         if key not in keys and key not in ignored:
-            raise ConfigError(f"[{name}] key '{key}' is not read by {kind_key} {kind}")
+            raise InputError(f"[{name}] key '{key}' is not read by {kind_key} {kind}")
     return {key: kind if key == kind_key else _value(name, key, raw) for key in keys}
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and eagerly validate an experiment config.
 
-    An unknown section, a key its section's kind does not read, an unreadable,
-    malformed or non-UTF-8 file and a value its dataclass rejects raise
-    ``ConfigError``, named. With ``seed_override`` the config is ``reseed``-ed
-    from that integer. A run's ``config_echo.ini`` loads back to the config it ran.
+    An unknown section, a key its section's kind does not read, a malformed
+    or non-UTF-8 file and a value its dataclass rejects raise ``InputError``,
+    named; a file that cannot be opened raises its ``OSError``. With
+    ``seed_override`` the config is ``reseed``-ed from that integer. A run's
+    ``config_echo.ini`` loads back to the config it ran.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -206,7 +204,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
             parser.read_file(fh)
         for name in parser.sections():
             if name not in SCHEMA:
-                raise ConfigError(f"unknown section [{name}]")
+                raise InputError(f"unknown section [{name}]")
         found: dict[str, dict] = {}  # attribute path -> {field name: value}
         for name in SCHEMA:
             raw = dict(parser[name]) if parser.has_section(name) else {}
@@ -215,10 +213,10 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 found.setdefault(owner, {})[attr] = value
         cfg = _build_config(found)
         return cfg if seed_override is None else reseed(cfg, seed_override)
-    except (OSError, ValueError, configparser.Error) as err:
-        if isinstance(err, ConfigError):
+    except (ValueError, configparser.Error) as err:
+        if isinstance(err, InputError):
             raise
-        raise ConfigError(str(err)) from err
+        raise InputError(str(err)) from err
 
 
 def _build_config(found: dict[str, dict]) -> ExperimentConfig:
@@ -254,18 +252,12 @@ def resolve_ram_weights(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def data_directory(cfg: ExperimentConfig) -> Path:
-    if cfg.dataset.dir:
-        root = Path(cfg.dataset.dir)
-    else:
-        env = os.environ.get(DATA_DIR_ENV, "")
-        if not env:
-            raise FileNotFoundError(
-                f"no dataset directory: set [dataset] dir or the {DATA_DIR_ENV} "
-                "environment variable"
-            )
-        root = Path(env)
-    nested = root / cfg.dataset.kind
-    return nested if nested.is_dir() else root
+    root = cfg.dataset.dir or os.environ.get(DATA_DIR_ENV, "")
+    if not root:
+        raise InputError(f"no dataset directory: set [dataset] dir or the {DATA_DIR_ENV} "
+                         "environment variable")
+    nested = Path(root) / cfg.dataset.kind
+    return nested if nested.is_dir() else Path(root)
 
 
 def _subsample(data: Dataset, size: int, seed: int) -> Dataset:
@@ -421,7 +413,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     # Normalized a second time, as runs always were: that moves tail_three weights by up
     # to 2.8e-17, which could move a draw that lands on a cumulative-weight boundary.
     channel = RandomAccessChannel(make_ram(weights), cfg.train.seeds.ram)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     echo_path = cfg.output_dir / "config_echo.ini"
     write_config_echo(cfg, echo_path)
     metrics_path = cfg.output_dir / "metrics.csv"
@@ -473,21 +464,22 @@ def sweep(config_path, alphas, gammas, repeats: int,
 
     The config is loaded once; each run is that config ``reseed``-ed from
     (base init seed, alpha, gamma, repeat), with the cell's risk levels and
-    its own output directory. A bad level raises ``ConfigError`` before any
-    run; a failing run is counted in its row's ``failures`` and the sweep
-    goes on. Returns the rows and the path of the summary CSV.
+    its own output directory. A bad level, and an output root that cannot be
+    made, raise before any run; a failing run is counted in its row's
+    ``failures`` and the sweep goes on. Returns the rows and the summary CSV's path.
     """
     if not alphas or not gammas:
-        raise ConfigError("alpha and gamma grids must be nonempty")
+        raise InputError("alpha and gamma grids must be nonempty")
     if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
+        raise InputError("repeats must be >= 1")
     try:  # every level is read and checked before the first cell runs
         risks = [RiskConfig(float(alpha), float(gamma)) for alpha in alphas for gamma in gammas]
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise InputError(str(err)) from err
     base_cfg = load_config(config_path)
     base_seed = base_cfg.train.seeds.init
     out_root = Path(output_dir) if output_dir else base_cfg.output_dir / "sweep"
+    out_root.mkdir(parents=True, exist_ok=True)
 
     n_freq = base_cfg.partition.num_frequent_classes(base_cfg.dataset.num_classes)
     rare_classes = list(range(n_freq, base_cfg.dataset.num_classes))

@@ -1,12 +1,19 @@
+import contextlib
 import gzip
+import io
+import os
+import shutil
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramfed.cli import check_cvar, check_grad, main
 from ramfed.data import load_csv, write_idx
-from ramfed.experiments import load_config
+from ramfed.experiments import DATA_DIR_ENV, load_config
 from ramfed.models import MLP, ModelArch, init_params, save_params
 
 from test_experiments import diverging_mlp, read_echo, tiny_config
@@ -218,3 +225,188 @@ class TestCommands:
         assert main(["check-cvar", "--trials", "20"]) == 0
         out = capsys.readouterr().out
         assert "check-grad" in out and "check-cvar" in out
+
+
+def _on_idx_dir(damage):
+    """A train run over the MNIST fixture after ``damage(idx_dir)``, which returns
+    the text the error must name."""
+    def setup(tmp_path):
+        idx_dir = write_idx_dir(tmp_path)
+        named = damage(idx_dir)
+        return ["train", str(mnist_config(tmp_path, idx_dir))], named
+    return setup
+
+
+def _dir_in_place_of_labels(idx_dir):
+    path = idx_dir / "train-labels-idx1-ubyte"
+    path.unlink()
+    path.mkdir()
+    return str(path)
+
+
+def _flip_label_bit(idx_dir):
+    path = idx_dir / "train-labels-idx1-ubyte"
+    blob = bytearray(path.read_bytes())
+    assert blob[8 + 2] == 2  # the third label; flipping bit 3 makes it 10
+    blob[8 + 2] ^= 0x08
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+def _write_images(idx_dir, images):
+    path = idx_dir / "train-images-idx3-ubyte"
+    path.write_bytes(write_idx(images))
+    return str(path)
+
+
+def _zero_rows(idx_dir):
+    _write_images(idx_dir, np.zeros((0, 28, 28)))
+    (idx_dir / "train-labels-idx1-ubyte").write_bytes(write_idx(np.zeros(0)))
+    return "train-labels-idx1-ubyte"
+
+
+def _output_dir_is_a_file(command, *levels):
+    def setup(tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        return [command, str(tiny_config(tmp_path)), *levels, "--output-dir", str(taken)], str(taken)
+    return setup
+
+
+def _gen_data_into_a_directory(tmp_path):
+    target = tmp_path / "csv_dir"
+    target.mkdir()
+    return ["gen-data", str(tiny_config(tmp_path)), "--out", str(target)], str(target)
+
+
+def _config_text(edit, named):
+    """A train run of the tiny synthetic config after ``edit`` of its text."""
+    def setup(tmp_path):
+        path = tiny_config(tmp_path)
+        path.write_text(edit(path.read_text()))
+        return ["train", str(path)], named(path)
+    return setup
+
+
+def _mnist_config_line(line, named):
+    def setup(tmp_path):
+        path = mnist_config(tmp_path, write_idx_dir(tmp_path))
+        path.write_text(path.read_text().replace("test_subset = 20", line))
+        return ["train", str(path)], named
+    return setup
+
+
+@pytest.mark.filterwarnings("error")  # a warning is a second stderr line
+@pytest.mark.parametrize("setup", [
+    _on_idx_dir(_dir_in_place_of_labels),
+    _on_idx_dir(_flip_label_bit),
+    _on_idx_dir(lambda idx_dir: _write_images(idx_dir, np.zeros((30, 10, 10)))),
+    _on_idx_dir(lambda idx_dir: _write_images(idx_dir, np.arange(30) % 10)),
+    _on_idx_dir(_zero_rows),
+    _output_dir_is_a_file("train"),
+    _output_dir_is_a_file("sweep", "--alpha", "0.5", "--gamma", "0.5"),
+    _gen_data_into_a_directory,
+    _config_text(lambda text: text.replace("spread = 0.5", "spread = inf"), lambda _: "spread"),
+    _config_text(lambda text: text.replace("spread = 0.5", "spread = 1e308"), lambda _: "spread"),
+    _config_text(lambda text: "kind = synthetic2d\n" + text, str),
+    _config_text(lambda text: text + "a line without a value\n", str),
+    _mnist_config_line("subset = -5\ntest_subset = 20", "subset"),
+    _mnist_config_line("test_subset = -7", "test_subset"),
+], ids=["idx-entry-is-a-directory", "label-byte-out-of-range", "images-10x10",
+        "images-hold-labels", "zero-rows", "train-output-dir-is-a-file",
+        "sweep-output-dir-is-a-file", "gen-data-out-is-a-directory", "spread-inf",
+        "spread-1e308", "line-before-any-section", "malformed-line", "subset-negative",
+        "test_subset-negative"])
+def test_bad_input_is_one_named_line_and_exit_2(tmp_path, capsys, setup):
+    argv, named = setup(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+FAULT_CONFIG = textwrap.dedent("""
+    [dataset]
+    kind = mnist
+    dir = idx
+    [partition]
+    num_users = 3
+    frequent_fraction = 67
+    frequent_pattern_fraction = 80
+    [ram]
+    weights = 0.5, 0.4, 0.1
+    [train]
+    global_rounds = 2
+    local_epochs = 1
+    batch_size = 16
+    lr_theta = 0.05
+    lr_t = 0.01
+    model = logreg
+    [risk]
+    alpha = 0.3
+    gamma = 0.3
+    [run]
+    output_dir = run
+    """)
+
+
+@pytest.fixture(scope="module")
+def fault_inputs(tmp_path_factory):
+    """A 3-user, 2-round logreg config, its 120-row MNIST-layout directory and a snapshot
+    it trained; paths are relative, so every copy has the same bytes."""
+    root = tmp_path_factory.mktemp("fault_inputs")
+    write_idx_dir(root, rows=120)
+    (root / "config.ini").write_text(FAULT_CONFIG)
+    with contextlib.chdir(root):
+        assert _run(["train", "config.ini"]) == (0, "")
+    shutil.copy(root / "run" / "model.bin", root / "model.bin")
+    shutil.rmtree(root / "run")
+    return root
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+FAULT_TARGETS = ["config.ini", "model.bin", "idx/t10k-images-idx3-ubyte",
+                 "idx/t10k-labels-idx1-ubyte", "idx/train-images-idx3-ubyte",
+                 "idx/train-labels-idx1-ubyte"]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_fault_in_any_input_exits_0_2_or_diverged(fault_inputs, tmp_path_factory, data):
+    """One fault in the config, the snapshot or an IDX file: ``train`` and ``eval``
+    succeed, print one ``error:`` line and exit 2, or report a diverged run."""
+    root = tmp_path_factory.mktemp("fault")
+    shutil.copytree(fault_inputs, root, dirs_exist_ok=True)
+    target = root / data.draw(st.sampled_from(FAULT_TARGETS), label="file")
+    fault = data.draw(st.sampled_from(["truncate", "flip bit", "delete", "directory",
+                                       "non-utf8"]), label="fault")
+    blob = target.read_bytes()
+    if fault == "truncate":
+        target.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    elif fault == "flip bit":
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        target.write_bytes(bytes(flipped))
+    elif fault == "non-utf8":
+        at = data.draw(st.integers(0, len(blob)), label="offset")
+        target.write_bytes(blob[:at] + b"\xff\xc3" + blob[at:])
+    else:
+        target.unlink()
+        if fault == "directory":
+            target.mkdir()
+    # An emptied `dir` must not find other data; `--output-dir` keeps a flipped
+    # `output_dir` from writing outside the copy.
+    with contextlib.chdir(root), mock.patch.dict(os.environ):
+        os.environ.pop(DATA_DIR_ENV, None)
+        for argv in (["train", "config.ini", "--output-dir", "out"],
+                     ["eval", "config.ini", "model.bin"]):
+            code, err = _run(argv)
+            assert (code == 0 or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
+                    or (code == 1 and err.startswith("run diverged: "))), (argv[0], code, err)

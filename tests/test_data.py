@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from ramfed.data import (
     Dataset,
-    IdxFormatError,
-    PartitionError,
+    InputError,
     PartitionSpec,
     batches,
     gen_synthetic_2d,
@@ -49,25 +48,25 @@ class TestIdx:
         if magic in (0x801, 0x803):
             return
         buf = magic.to_bytes(4, "big") + bytes(8)
-        with pytest.raises(IdxFormatError, match="offset 0"):
+        with pytest.raises(InputError, match="offset 0"):
             parse_idx(buf)
 
     def test_truncated_header(self):
-        with pytest.raises(IdxFormatError, match="truncated"):
+        with pytest.raises(InputError, match="truncated"):
             parse_idx(bytes([0, 0, 8, 3, 0, 0]))
 
     def test_truncated_payload_names_offset(self):
         bad = LABEL_FIXTURE[:-1]
-        with pytest.raises(IdxFormatError, match="offset 8"):
+        with pytest.raises(InputError, match="offset 8"):
             parse_idx(bad)
 
     def test_dimension_overflow(self):
         huge = bytes([0, 0, 8, 1, 0xFF, 0xFF, 0xFF, 0xFF]) + bytes(4)
-        with pytest.raises(IdxFormatError, match="overflow"):
+        with pytest.raises(InputError, match="overflow"):
             parse_idx(huge)
 
     def test_trailing_bytes_rejected(self):
-        with pytest.raises(IdxFormatError, match="trailing"):
+        with pytest.raises(InputError, match="trailing"):
             parse_idx(LABEL_FIXTURE + b"\x00")
 
     def test_random_arrays_round_trip(self):
@@ -205,7 +204,7 @@ class TestPartition:
     def test_missing_class_rejected(self):
         data = uniform_dataset(3, 10)
         data = Dataset(data.features, data.labels, num_classes=4)
-        with pytest.raises(PartitionError, match=r"\[3\]"):
+        with pytest.raises(InputError, match=r"\[3\]"):
             partition_indices(data, PartitionSpec(4, 50, 50, seed=0))
 
     def test_starved_user_rejected(self):
@@ -213,7 +212,7 @@ class TestPartition:
         labels = np.array([0] * 10 + [1])
         rng = np.random.default_rng(0)
         data = Dataset(rng.standard_normal((11, 2)), labels, 2)
-        with pytest.raises(PartitionError):
+        with pytest.raises(InputError):
             partition_indices(data, PartitionSpec(4, 50, 50, seed=0))
 
     def test_spec_validation(self):

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramfed import charts, experiments
-from ramfed.data import gen_synthetic_2d
+from ramfed.data import InputError, gen_synthetic_2d
 from ramfed.experiments import (
-    ConfigError,
     derive_seed,
     format_metrics,
     load_config,
@@ -133,18 +132,18 @@ class TestLoadConfig:
         path = tiny_config(tmp_path)
         text = path.read_text().replace("alpha = 0.2", "alpha = 0")
         path.write_text(text)
-        with pytest.raises(ConfigError, match="alpha"):
+        with pytest.raises(InputError, match="alpha"):
             load_config(path)
 
     def test_unknown_key_named(self, tmp_path):
         path = tiny_config(tmp_path, extra="surprise = 1")
-        with pytest.raises(ConfigError, match="surprise"):
+        with pytest.raises(InputError, match="surprise"):
             load_config(path)
 
     def test_misspelt_required_key_named_as_the_typo(self, tmp_path):
         path = tiny_config(tmp_path)
         path.write_text(path.read_text().replace("lr_theta = 0.02", "lr_thta = 0.02"))
-        with pytest.raises(ConfigError, match="unknown key 'lr_thta'"):
+        with pytest.raises(InputError, match="unknown key 'lr_thta'"):
             load_config(path)
 
     @pytest.mark.parametrize("old,new,key", [
@@ -161,7 +160,7 @@ class TestLoadConfig:
         text = path.read_text()
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+        with pytest.raises(InputError, match=f"'{key}'"):
             load_config(path)
 
     def test_readme_config_table_lists_the_schema(self):
@@ -181,19 +180,19 @@ class TestLoadConfig:
     def test_unknown_section_named(self, tmp_path):
         path = tiny_config(tmp_path)
         path.write_text(path.read_text() + "\n[telemetry]\nx = 1\n")
-        with pytest.raises(ConfigError, match="telemetry"):
+        with pytest.raises(InputError, match="telemetry"):
             load_config(path)
 
     def test_missing_required_key_named(self, tmp_path):
         path = tiny_config(tmp_path)
         path.write_text(path.read_text().replace("lr_theta = 0.02\n", ""))
-        with pytest.raises(ConfigError, match="lr_theta"):
+        with pytest.raises(InputError, match="lr_theta"):
             load_config(path)
 
     def test_weight_count_must_match_users(self, tmp_path):
         path = tiny_config(tmp_path)
         path.write_text(path.read_text().replace("0.5, 0.4, 0.1", "0.5, 0.5"))
-        with pytest.raises(ConfigError, match="weights"):
+        with pytest.raises(InputError, match="weights"):
             load_config(path)
 
     def test_defaults_recorded_for_echo(self, tmp_path):
@@ -237,7 +236,7 @@ class TestLoadConfig:
     def test_malformed_file_raises_config_error(self, tmp_path, text):
         path = tmp_path / "bad.ini"
         path.write_bytes(text.encode("latin-1"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(path)
 
     @pytest.mark.parametrize("old,new", [
@@ -259,12 +258,12 @@ class TestLoadConfig:
         text = path.read_text()
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=new.split()[0]):
+        with pytest.raises(InputError, match=new.split()[0]):
             load_config(path)
 
 
 class TestMalformedConfigs:
-    """A damaged bundled config either loads or raises ConfigError, nothing else."""
+    """A damaged bundled config either loads or raises InputError, nothing else."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -284,7 +283,7 @@ class TestMalformedConfigs:
         path.write_bytes(damaged)
         try:
             load_config(path)
-        except ConfigError:
+        except InputError:
             pass
 
 
@@ -471,7 +470,7 @@ class TestSweep:
 
     def test_bad_level_raises_before_any_cell_runs(self, tmp_path):
         path = tiny_config(tmp_path, rounds=3)
-        with pytest.raises(ConfigError, match="alpha"):
+        with pytest.raises(InputError, match="alpha"):
             sweep(path, alphas=[0.1, 0.0], gammas=[0.1], repeats=1, output_dir=tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
