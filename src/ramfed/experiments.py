@@ -213,6 +213,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 found.setdefault(owner, {})[attr] = value
         cfg = _build_config(found)
         return cfg if seed_override is None else reseed(cfg, seed_override)
+    except UnicodeDecodeError as err:  # its message names neither the file nor a key
+        raise InputError(f"{path}: {err}") from err
     except (ValueError, configparser.Error) as err:
         if isinstance(err, InputError):
             raise

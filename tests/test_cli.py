@@ -288,6 +288,12 @@ def _config_text(edit, named):
     return setup
 
 
+def _config_not_utf8(tmp_path):
+    path = tiny_config(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"spread = 0.5", b"spread = 0.\xff"))
+    return ["train", str(path)], str(path)
+
+
 def _mnist_config_line(line, named):
     def setup(tmp_path):
         path = mnist_config(tmp_path, write_idx_dir(tmp_path))
@@ -296,7 +302,7 @@ def _mnist_config_line(line, named):
     return setup
 
 
-@pytest.mark.filterwarnings("error")  # a warning is a second stderr line
+@pytest.mark.filterwarnings("error")  # outside pytest a warning is a second stderr line
 @pytest.mark.parametrize("setup", [
     _on_idx_dir(_dir_in_place_of_labels),
     _on_idx_dir(_flip_label_bit),
@@ -310,13 +316,14 @@ def _mnist_config_line(line, named):
     _config_text(lambda text: text.replace("spread = 0.5", "spread = 1e308"), lambda _: "spread"),
     _config_text(lambda text: "kind = synthetic2d\n" + text, str),
     _config_text(lambda text: text + "a line without a value\n", str),
-    _mnist_config_line("subset = -5\ntest_subset = 20", "subset"),
-    _mnist_config_line("test_subset = -7", "test_subset"),
+    _config_not_utf8,
+    _mnist_config_line("subset = -5\ntest_subset = 20", "[dataset] subset "),
+    _mnist_config_line("test_subset = -7", "[dataset] test_subset "),
 ], ids=["idx-entry-is-a-directory", "label-byte-out-of-range", "images-10x10",
         "images-hold-labels", "zero-rows", "train-output-dir-is-a-file",
         "sweep-output-dir-is-a-file", "gen-data-out-is-a-directory", "spread-inf",
-        "spread-1e308", "line-before-any-section", "malformed-line", "subset-negative",
-        "test_subset-negative"])
+        "spread-1e308", "line-before-any-section", "malformed-line", "config-not-utf8",
+        "subset-negative", "test_subset-negative"])
 def test_bad_input_is_one_named_line_and_exit_2(tmp_path, capsys, setup):
     argv, named = setup(tmp_path)
     assert main(argv) == 2
