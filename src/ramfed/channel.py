@@ -1,9 +1,11 @@
 """Single-relay erasure channel with fixed, training-invisible weights.
 
 One user survives each round, drawn iid from a fixed distribution. The
-training loop talks to :class:`RandomAccessChannel` through ``relay`` only;
-the weights themselves stay on this side of the interface so no server-side
-code path can condition on them.
+training loop talks to :class:`RandomAccessChannel` through ``relay`` only,
+which takes the number of candidates and returns the index that gets
+through: the channel never sees what the users would send, and the weights
+stay on this side of the interface so no server-side code path can
+condition on them.
 """
 
 from __future__ import annotations
@@ -54,14 +56,11 @@ def sample(ram: RamDistribution, rng: np.random.Generator) -> int:
     return min(idx, ram.num_users - 1)
 
 
-def relay(ram: RamDistribution, rng: np.random.Generator, candidates: list):
-    """Relay exactly one candidate; the rest are discarded unseen."""
-    if len(candidates) != ram.num_users:
-        raise ValueError(
-            f"expected {ram.num_users} candidates, got {len(candidates)}"
-        )
-    idx = sample(ram, rng)
-    return idx, candidates[idx]
+def relay(ram: RamDistribution, rng: np.random.Generator, num_candidates: int) -> int:
+    """The index of the one candidate that gets through; the draw never reads the candidates."""
+    if num_candidates != ram.num_users:
+        raise ValueError(f"expected {ram.num_users} candidates, got {num_candidates}")
+    return sample(ram, rng)
 
 
 def skewed_weights(num_users: int, kind: str, param: float) -> np.ndarray:
@@ -101,5 +100,5 @@ class RandomAccessChannel:
         self._ram = ram
         self._rng = np.random.default_rng(seed)
 
-    def relay(self, candidates: list):
-        return relay(self._ram, self._rng, candidates)
+    def relay(self, num_candidates: int) -> int:
+        return relay(self._ram, self._rng, num_candidates)

@@ -2,7 +2,7 @@
 
 Everything here is deterministic given its seed arguments: the synthetic
 generator, the partitioner's shuffles, and the per-epoch batch order, which is
-``default_rng([seed, epoch]).permutation(n)`` with all of a round's seeding in one NumPy pass.
+``default_rng([seed, epoch]).permutation(n)``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .models import Batch
 
@@ -303,63 +302,11 @@ def partition_heterogeneous(data: Dataset, spec: PartitionSpec) -> list[Dataset]
 # Batching
 # ---------------------------------------------------------------------------
 
-def _hash_constants(value: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) pairs of ``count`` successive hashmix calls, as uint32 columns."""
-    column = np.array([value * pow(mult, i, 1 << 32) % (1 << 32) for i in range(count + 1)])
-    return column[:-1, None].astype(np.uint32), column[1:, None].astype(np.uint32)
-
-
-# NumPy's SeedSequence with its pool of 4 words: 16 hashmix calls mix it, 8 draw PCG64's state.
-_MIX_XOR, _MIX_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    words = (words ^ xor) * mult
-    return words ^ (words >> 16)
-
-
-def _seed_words(seeds: np.ndarray, epochs: np.ndarray) -> np.ndarray:
-    """Row i is ``SeedSequence([seeds[i], epochs[i]]).generate_state(4, np.uint64)``."""
-    pool = np.zeros((4, len(seeds)), np.uint32)  # the entropy [seed, epoch], zero-padded
-    pool[0], pool[1] = seeds, epochs
-    pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MULT[:4])
-    for src in range(4):  # word src mixes into the other three, in order
-        dst, k = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
-        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _MIX_XOR[k], _MIX_MULT[k])
-        pool[dst] = mixed ^ (mixed >> 16)
-    words = _hashmix(np.tile(pool, (2, 1)), _OUT_XOR, _OUT_MULT)  # cycles over the pool
-    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-@dataclass
-class _GivenState(ISeedSequence):
-    """A seed sequence whose state is already drawn: PCG64 reads its 4 uint64 words."""
-
-    words: np.ndarray
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def shuffle_orders(lengths, seeds, epochs) -> list[np.ndarray]:
-    """``np.random.default_rng([seed, epoch]).permutation(n)`` per triple, all hashed together.
-
-    Seeds and epochs must lie in [0, 2**32), where SeedSequence reads each as one word.
-    """
-    seeds, epochs = np.asarray(seeds), np.asarray(epochs)
-    if any(w.size and (w.dtype.kind not in "iu" or (w >> 32).any()) for w in (seeds, epochs)):
-        raise ValueError("seeds and epochs must be integers in [0, 2**32)")  # < 0 or > 32 bits
-    return [np.random.Generator(np.random.PCG64(_GivenState(row))).permutation(n)
-            for n, row in zip(lengths, _seed_words(seeds, epochs), strict=True)]
-
-
 def batch_indices(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
     """Contiguous chunks of a shuffle of range(n) keyed by (seed, epoch); the last may be short."""
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    (order,) = shuffle_orders([n], [seed], [epoch])
+    order = np.random.default_rng([seed, epoch]).permutation(n)
     return [order[start : start + batch_size] for start in range(0, n, batch_size)]
 
 

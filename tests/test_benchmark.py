@@ -36,12 +36,13 @@ print(json.dumps(trace.metrics()))
 
 
 def test_tracer_still_wraps_the_program(tmp_path):
-    """Every name bench/tracer.py wraps still exists, and a traced run counts rounds.
+    """Every name bench/tracer.py wraps still exists, and a traced run counts what it calls.
 
-    Rounds run their local updates stacked, not through the traced
-    `local_update`, so the round count is what shows the run was traced."""
+    Round 1 relays the initial pair and round 2 the one update it computes, so a
+    2-round run makes one `local_update` call."""
     result = subprocess.run([sys.executable, "-c", TRACED_RUN, str(tmp_path / "run")],
                             cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     metrics = json.loads(result.stdout.splitlines()[-1])
     assert metrics["training.run_round.calls"] == 2
+    assert metrics["training.local_update.calls"] == 1

@@ -133,23 +133,19 @@ class TestRelay:
     def test_point_mass_relays_that_user(self):
         ram = make_ram([0.0, 0.0, 1.0])
         rng = np.random.default_rng(0)
-        pairs = [(np.zeros(3), 0.0), (np.ones(3), 1.0), (np.full(3, 2.0), 2.0)]
         for _ in range(20):
-            idx, pair = relay(ram, rng, pairs)
-            assert idx == 2
-            assert pair is pairs[2]
-
-    def test_relayed_pair_is_the_input_object(self):
-        ram = make_ram([1.0])
-        rng = np.random.default_rng(0)
-        payload = (np.array([1.5, -2.5]), 0.25)
-        _, pair = relay(ram, rng, [payload])
-        assert pair is payload
+            assert relay(ram, rng, 3) == 2
 
     def test_candidate_count_checked(self):
         ram = make_ram([0.5, 0.5])
         with pytest.raises(ValueError):
-            relay(ram, np.random.default_rng(0), [("a", 0.0)])
+            relay(ram, np.random.default_rng(0), 1)
+
+    def test_one_draw_per_relay(self):
+        # The selection stream is sample()'s: one uniform per round.
+        ram = make_ram([0.3, 0.3, 0.4])
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        assert [relay(ram, a, 3) for _ in range(100)] == [sample(ram, b) for _ in range(100)]
 
     def test_reproducible_selection_sequence(self):
         ram = make_ram([0.3, 0.3, 0.4])
@@ -163,7 +159,6 @@ class TestRelay:
         ram = make_ram([0.3, 0.3, 0.4])
         chan1 = RandomAccessChannel(ram, seed=9)
         chan2 = RandomAccessChannel(ram, seed=9)
-        pairs = [("p0", 0.0), ("p1", 0.0), ("p2", 0.0)]
-        seq1 = [chan1.relay(pairs)[0] for _ in range(50)]
-        seq2 = [chan2.relay(pairs)[0] for _ in range(50)]
+        seq1 = [chan1.relay(3) for _ in range(50)]
+        seq2 = [chan2.relay(3) for _ in range(50)]
         assert seq1 == seq2

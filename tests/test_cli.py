@@ -16,7 +16,7 @@ from ramfed.data import load_csv, write_idx
 from ramfed.experiments import DATA_DIR_ENV, load_config
 from ramfed.models import MLP, ModelArch, init_params, save_params
 
-from test_experiments import diverging_mlp, read_echo, tiny_config
+from test_experiments import CONFIG_DIR, diverging_mlp, read_echo, tiny_config
 
 
 def mnist_config(tmp_path, idx_dir):
@@ -172,6 +172,16 @@ class TestCommands:
         assert main(["train", str(diverging_mlp(tmp_path))]) == 1
         assert "run diverged" in capsys.readouterr().err
         assert (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.filterwarnings("error")  # outside pytest a warning is a second stderr line
+    def test_features_near_the_float_limit_diverge_on_one_line(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "synthetic_smoke.ini").read_text()
+        assert "spread = 0.6\n" in text
+        config = tmp_path / "smoke.ini"
+        config.write_text(text.replace("spread = 0.6\n", "spread = 1e307\n"))
+        assert main(["train", str(config), "--output-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run diverged: ") and err.count("\n") == 1
 
     def test_config_error_is_one_line_and_exit_2(self, tmp_path, capsys):
         config = tiny_config(tmp_path, extra="surprise = 1")

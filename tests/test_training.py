@@ -8,19 +8,17 @@ import ramfed.channel
 import ramfed.training
 from ramfed.channel import RandomAccessChannel, make_ram
 from ramfed.data import Dataset, PartitionSpec, batches, gen_synthetic_2d, partition_heterogeneous
-from ramfed.models import LOGREG, MLP, ModelArch, ModelParams, init_params, loss_and_grad
+from ramfed.models import (LOGREG, MLP, ModelArch, ModelParams, cross_entropy, forward,
+                           init_params, loss_and_grad)
 from ramfed.risk import RiskConfig, composite_grads
 from ramfed.training import (
     INITIAL_THRESHOLD,
     DivergenceError,
-    GlobalState,
-    RunHistory,
     Seeds,
     TrainConfig,
     UserShard,
     evaluate,
     local_update,
-    local_updates,
     run_round,
     selection_frequencies,
     shard_loss,
@@ -59,23 +57,22 @@ class ScriptedChannel:
         self.script = list(script)
         self.calls = 0
 
-    def relay(self, candidates):
+    def relay(self, num_candidates):
         idx = self.script[self.calls % len(self.script)]
         self.calls += 1
-        return idx, candidates[idx]
+        return idx
 
 
 class RecordingChannel(ScriptedChannel):
-    """A scripted channel that keeps the bytes of each relayed pair."""
+    """A scripted channel that keeps the candidate count of each relay."""
 
     def __init__(self, script):
         super().__init__(script)
-        self.relayed = []
+        self.asked = []
 
-    def relay(self, candidates):
-        idx, (theta, t) = super().relay(candidates)
-        self.relayed.append((theta.tobytes(), t))
-        return idx, (theta, t)
+    def relay(self, num_candidates):
+        self.asked.append(num_candidates)
+        return super().relay(num_candidates)
 
 
 class TestConfigValidation:
@@ -201,15 +198,14 @@ class TestStepOracle:
         assert (info.value.user_id, info.value.epoch) == (2, epoch)
 
 
-def stacked_users(lengths=(13, 13, 7, 13, 7), scales=(1.0,) * 5):
-    """Users with distinct rows; equal lengths share a stack, and batches of 5
-    leave short last batches of 3 and 2 rows."""
+def mixed_users(lengths=(13, 13, 7, 13, 7)):
+    """Users with distinct rows and two shard lengths; batches of 5 leave short last
+    batches of 3 and 2 rows."""
     pool = gen_synthetic_2d(3, 20, 0.6, 4)
     rows = np.random.default_rng(8).permutation(len(pool))
     users, start = [], 0
-    for user_id, (n, scale) in enumerate(zip(lengths, scales)):
-        part = pool.take(rows[start : start + n])
-        users.append(UserShard(user_id, Dataset(part.features * scale, part.labels, 3)))
+    for user_id, n in enumerate(lengths):
+        users.append(UserShard(user_id, pool.take(rows[start : start + n])))
         start += n
     return users
 
@@ -218,63 +214,49 @@ ARCHS = pytest.mark.parametrize("arch", [ARCH3, ModelArch(MLP, 2, 3, (4, 2))],
                                 ids=["logreg", "mlp"])
 
 
-class TestStackedUpdates:
-    """run_round's stacked local updates give every user the bytes of its own
-    reference step loop: stacks of 3 and 2 users, or of at most 2."""
+class TestUserUpdates:
+    """Every user's local_update has the bytes of its own reference step loop."""
 
-    @pytest.mark.parametrize("users_per_stack", [None, 2])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     @ARCHS
-    def test_round_matches_reference_bit_for_bit(self, monkeypatch, arch, gamma, users_per_stack):
-        if users_per_stack:
-            monkeypatch.setattr(ramfed.training, "STACK_FLOATS", users_per_stack * arch.num_params)
+    def test_each_user_matches_reference_bit_for_bit(self, arch, gamma):
         cfg = make_config(alpha=0.3, gamma=gamma, epochs=3, batch=5, lr_theta=0.4,
                           lr_t=0.3, arch=arch)
         start = init_params(arch, 5)
-        users = stacked_users()
-        state = GlobalState(2, start, 0.9, users, np.repeat(start.values[None, :], 5, axis=0),
-                            np.full(5, 0.9), RunHistory())
-        run_round(state, ScriptedChannel([1]), cfg)
-        for user, theta_row, t_row in zip(users, state.thetas, state.ts):
+        for user in mixed_users():
             (theta, t), diverged = reference_update(user, start, 0.9, cfg, epoch_offset=6)
+            out_params, out_t = local_update(user, start, 0.9, cfg, epoch_offset=6)
             assert diverged is None
-            assert theta_row.tobytes() == theta.tobytes()
-            assert t_row == t
+            assert out_params.values.tobytes() == theta.tobytes()
+            assert out_t == t
             assert not np.array_equal(theta, start.values)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_divergence_names_the_lowest_diverged_user(self):
-        # One stack of five; the feature scales make user 1 diverge in a later
-        # local epoch than user 2 and leave the other three finite.
-        users = stacked_users(lengths=(13,) * 5, scales=(0.3, 0.1, 0.7, 0.3, 0.3))
-        cfg = make_config(alpha=0.3, gamma=0.3, epochs=3, batch=5, lr_theta=3e307, lr_t=0.3)
-        start = init_params(ARCH3, 5)
-        epochs = [reference_update(u, start, 0.9, cfg, epoch_offset=7)[1] for u in users]
-        assert epochs[0] is None and epochs[3:] == [None, None]
-        assert epochs[1] > epochs[2] >= 0
-        with pytest.raises(DivergenceError) as info:
-            local_updates(users, start, 0.9, cfg, epoch_offset=7)
-        assert (info.value.user_id, info.value.epoch) == (1, epochs[1])
 
 
 def eager_run(users, weights, cfg):
     """An independent eager engine: the channel's relay, then each user's
-    reference step loop from the relayed pair, one user after another."""
+    reference step loop from the relayed pair, one user after another.
+
+    Returns the selections, and per round the relayed t and the loss of the
+    relayed theta on the selected user's shard, and the last relayed theta."""
     channel = ram_channel(weights, cfg)
     theta0 = init_params(cfg.arch, cfg.seeds.init)
-    pairs = [(theta0, INITIAL_THRESHOLD)] * len(users)
-    selections, thresholds = [], []
+    pairs = [(theta0.values, INITIAL_THRESHOLD)] * len(users)
+    selections, thresholds, losses = [], [], []
     for r in range(cfg.global_rounds):
-        selected, (theta_g, t_g) = channel.relay(pairs)
+        selected = channel.relay(len(users))
+        theta_g, t_g = pairs[selected]
+        data = users[selected].data
         selections.append(selected)
         thresholds.append(t_g)
+        losses.append(cross_entropy(forward(ModelParams(cfg.arch, theta_g), data.features),
+                                    data.labels))
         pairs = []
         for user in users:
-            (theta, t), diverged = reference_update(user, theta_g, t_g, cfg,
-                                                    r * cfg.local_epochs)
+            pair, diverged = reference_update(user, ModelParams(cfg.arch, theta_g), t_g, cfg,
+                                              r * cfg.local_epochs)
             assert diverged is None
-            pairs.append((ModelParams(cfg.arch, theta), t))
-    return selections, thresholds, pairs
+            pairs.append(pair)
+    return selections, thresholds, losses, theta_g
 
 
 class TestWholeRunReplay:
@@ -286,15 +268,14 @@ class TestWholeRunReplay:
     def test_forty_rounds_match_bit_for_bit(self, arch, gamma):
         cfg = make_config(alpha=0.3, gamma=gamma, rounds=40, epochs=2, batch=5,
                           lr_theta=0.2, lr_t=0.05, arch=arch)
-        users = stacked_users()
+        users = mixed_users()
         weights = [0.3, 0.25, 0.2, 0.15, 0.1]
         state, history = train([u.data for u in users], ram_channel(weights, cfg), cfg)
-        selections, thresholds, pairs = eager_run(users, weights, cfg)
+        selections, thresholds, losses, theta = eager_run(users, weights, cfg)
         assert history.selections() == selections
         assert [r.t_global for r in history.rounds] == thresholds
-        for theta_row, t_row, (params, t) in zip(state.thetas, state.ts, pairs):
-            assert theta_row.tobytes() == params.values.tobytes()
-            assert t_row == t
+        assert [r.train_loss_selected for r in history.rounds] == losses
+        assert state.theta_global.values.tobytes() == theta.tobytes()
 
 
 class TestRunRound:
@@ -310,49 +291,67 @@ class TestRunRound:
         state, history = train(shards, ram_channel([0.0, 0.0, 1.0], cfg), cfg)
         assert all(rec.selected_user == 2 for rec in history.rounds)
 
-    def test_non_selected_users_still_train(self):
-        shards, _ = fig_fixture()
-        cfg = make_config(rounds=3)
-        channel = ScriptedChannel([2])
-        theta0 = init_params(ARCH3, cfg.seeds.init)
-        state, _ = train(shards, channel, cfg)
-        for theta_row in state.thetas:
-            assert not np.array_equal(theta_row, theta0.values)
-
     def test_broadcast_fidelity_under_zero_steps(self):
-        # With zero learning rates every user's pair after a round is
-        # bit-equal to the relayed pair, proving they started from it.
+        # With zero learning rates every relayed pair is bit-equal to the
+        # initial pair, proving each update started from the broadcast.
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=0.0, lr_t=0.0, rounds=4)
-        state, history = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
-        for theta_row, t_row in zip(state.thetas, state.ts):
-            assert np.array_equal(theta_row, state.theta_global.values)
-            assert t_row == state.t_global
+        theta0 = init_params(ARCH3, cfg.seeds.init)
+        state, _ = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), replace(cfg, global_rounds=0))
+        for _ in range(cfg.global_rounds):
+            run_round(state, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
+            assert state.theta_global.values.tobytes() == theta0.values.tobytes()
+            assert state.t_global == INITIAL_THRESHOLD
 
     def test_relay_reads_the_rows_the_last_round_wrote(self):
+        # Round 1 relays the initial pair; every later round relays the selected
+        # user's update from the previous round's broadcast.
         shards, _ = fig_fixture()
-        cfg = make_config(rounds=3)
-        channel = RecordingChannel([2, 0, 1])
+        cfg = make_config(rounds=4)
+        channel = RecordingChannel([2, 0, 1, 0])
         state, _ = train(shards, channel, replace(cfg, global_rounds=0))
-        for selected in [2, 0, 1]:
-            row = state.thetas[selected].tobytes(), state.ts[selected]
+        theta0 = init_params(ARCH3, cfg.seeds.init)
+        expected = theta0.values.tobytes(), INITIAL_THRESHOLD
+        for r, selected in enumerate([2, 0, 1, 0]):
+            broadcast = state.theta_global, state.t_global
             run_round(state, channel, cfg)
-            assert channel.relayed[-1] == row
-            assert (state.theta_global.values.tobytes(), state.t_global) == row
+            if r > 0:
+                params, t = local_update(state.users[selected], *broadcast, cfg,
+                                         (r - 1) * cfg.local_epochs)
+                expected = params.values.tobytes(), t
+            assert (state.theta_global.values.tobytes(), state.t_global) == expected
             assert type(state.t_global) is float
-            assert len({theta.tobytes() for theta in state.thetas}) == 3  # rows differ
+            assert state.history.rounds[-1].selected_user == selected
+        assert channel.asked == [3] * 4
+        assert state.theta_global.values.tobytes() != theta0.values.tobytes()
 
     def test_diverged_round_leaves_the_state(self):
         shards, _ = fig_fixture()
         cfg = make_config(rounds=2)
         state, _ = train(shards, ScriptedChannel([2, 0]), cfg)
-        thetas, ts, rounds = state.thetas.copy(), state.ts.copy(), list(state.history.rounds)
-        with pytest.raises(DivergenceError):
-            run_round(state, ScriptedChannel([1]), replace(cfg, lr_theta=1e308))
+        theta, t = state.theta_global.values.copy(), state.t_global
+        rounds = list(state.history.rounds)
+        with pytest.raises(DivergenceError) as info:
+            run_round(state, ScriptedChannel([2]), replace(cfg, lr_theta=1e308))
+        assert (info.value.round_index, info.value.user_id) == (2, 2)
+        assert info.value.history is state.history
         assert state.round == 2
-        assert state.thetas.tobytes() == thetas.tobytes()
-        assert state.ts.tobytes() == ts.tobytes()
+        assert state.theta_global.values.tobytes() == theta.tobytes()
+        assert state.t_global == t
         assert state.history.rounds == rounds
+
+    def test_only_the_relayed_update_is_computed(self, monkeypatch):
+        updated = []
+        real = ramfed.training.local_update
+
+        def counting(shard, *args):
+            updated.append(shard.user_id)
+            return real(shard, *args)
+
+        monkeypatch.setattr(ramfed.training, "local_update", counting)
+        shards, _ = fig_fixture()
+        _, history = train(shards, ScriptedChannel([2, 0, 1, 1, 0]), make_config(rounds=5))
+        assert updated == history.selections()[1:] == [0, 1, 1, 0]
 
     def test_bit_identical_history_across_runs(self):
         shards, _ = fig_fixture()
