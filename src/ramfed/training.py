@@ -210,7 +210,7 @@ def run_round(state: GlobalState, channel, cfg: TrainConfig) -> GlobalState:
             err.round_index = state.round
             err.history = state.history
             raise
-    with np.errstate(over="ignore", invalid="ignore"):  # a loss near the float limit is logged
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loss is logged as is
         train_loss = shard_loss(theta_g, shard.data)
 
     state.theta_global, state.t_global = theta_g, t_g

@@ -297,9 +297,10 @@ class TestRunRound:
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=0.0, lr_t=0.0, rounds=4)
         theta0 = init_params(ARCH3, cfg.seeds.init)
-        state, _ = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), replace(cfg, global_rounds=0))
+        channel = ram_channel([0.5, 0.4, 0.1], cfg)
+        state, _ = train(shards, channel, replace(cfg, global_rounds=0))
         for _ in range(cfg.global_rounds):
-            run_round(state, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
+            run_round(state, channel, cfg)
             assert state.theta_global.values.tobytes() == theta0.values.tobytes()
             assert state.t_global == INITIAL_THRESHOLD
 
