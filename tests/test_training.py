@@ -14,6 +14,8 @@ from ramfed.risk import RiskConfig, composite_grads
 from ramfed.training import (
     INITIAL_THRESHOLD,
     DivergenceError,
+    GlobalState,
+    RunHistory,
     Seeds,
     TrainConfig,
     UserShard,
@@ -214,21 +216,31 @@ ARCHS = pytest.mark.parametrize("arch", [ARCH3, ModelArch(MLP, 2, 3, (4, 2))],
                                 ids=["logreg", "mlp"])
 
 
-class TestUserUpdates:
-    """Every user's local_update has the bytes of its own reference step loop."""
+class TestStackedUpdates:
+    """Rounds relay updates stacked on one another, each with the bytes of the
+    selected user's reference step loop from the last broadcast: the channel names
+    every user in turn, or user 2 (7 rows, a short last batch) every round."""
 
+    @pytest.mark.parametrize("repeated_user", [None, 2])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     @ARCHS
-    def test_each_user_matches_reference_bit_for_bit(self, arch, gamma):
+    def test_round_matches_reference_bit_for_bit(self, arch, gamma, repeated_user):
         cfg = make_config(alpha=0.3, gamma=gamma, epochs=3, batch=5, lr_theta=0.4,
                           lr_t=0.3, arch=arch)
-        start = init_params(arch, 5)
-        for user in mixed_users():
-            (theta, t), diverged = reference_update(user, start, 0.9, cfg, epoch_offset=6)
-            out_params, out_t = local_update(user, start, 0.9, cfg, epoch_offset=6)
+        users = mixed_users()
+        script = (list(range(len(users))) if repeated_user is None
+                  else [repeated_user] * len(users))
+        channel = ScriptedChannel(script)
+        state = GlobalState(3, init_params(arch, 5), 0.9, users, RunHistory())
+        for selected in script:
+            start, epoch_offset = state.theta_global, (state.round - 1) * cfg.local_epochs
+            (theta, t), diverged = reference_update(users[selected], start, state.t_global,
+                                                    cfg, epoch_offset)
+            run_round(state, channel, cfg)
             assert diverged is None
-            assert out_params.values.tobytes() == theta.tobytes()
-            assert out_t == t
+            assert state.theta_global.values.tobytes() == theta.tobytes()
+            assert state.t_global == t
+            assert state.history.rounds[-1].selected_user == selected
             assert not np.array_equal(theta, start.values)
 
 
