@@ -11,7 +11,7 @@ from .data import Dataset, PartitionSpec, batches, gen_synthetic_2d, parse_idx, 
 from .models import Batch, ModelArch, ModelParams, finite_diff_grad, forward, init_params, loss_and_grad
 from .risk import (RiskConfig, composite_grads, composite_loss, cvar_discrete,
                    cvar_grid_oracle, global_risk_objective, max_loss_limit_check)
-from .training import (DivergenceError, GlobalState, RunHistory, Seeds, TrainConfig,
-                       UserShard, evaluate, local_update, run_round, train)
+from .training import (DivergenceError, GlobalState, RunHistory, Seeds, TrainConfig, evaluate,
+                       local_update, run_round, train)
 
 __version__ = "0.1.0"

@@ -211,6 +211,10 @@ def main(argv=None) -> int:
     """Run one subcommand; exit 1 on divergence or a failed self-test, 2 on bad input."""
     args = build_parser().parse_args(argv)
     try:
+        for flag, low in (("seed", 0), ("trials", 1)):  # a self-test of 0 trials checks nothing
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise InputError(f"--{flag} must be at least {low}, got {value}")
         return args.func(args)
     except (InputError, OSError) as err:  # every path the CLI opens is the user's
         print("error:", *str(err).splitlines(), file=sys.stderr)  # configparser's span lines

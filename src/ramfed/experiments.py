@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import charts
-from .channel import GEOMETRIC, TAIL_THREE, RandomAccessChannel, make_ram, skewed_weights
+from .channel import (GEOMETRIC, TAIL_THREE, RamDistribution, RandomAccessChannel, make_ram,
+                      skewed_weights)
 from .data import (Dataset, InputError, PartitionSpec, check_synthetic_2d, gen_synthetic_2d,
                    load_idx_dataset, partition_heterogeneous)
 from .models import LOGREG, MLP, ModelArch, atomic_write as atomic_write_text, save_params
@@ -412,9 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     """
     shards, test, pooled = build_datasets(cfg)
     weights = resolve_ram_weights(cfg)
-    # Normalized a second time, as runs always were: that moves tail_three weights by up
-    # to 2.8e-17, which could move a draw that lands on a cumulative-weight boundary.
-    channel = RandomAccessChannel(make_ram(weights), cfg.train.seeds.ram)
+    channel = RandomAccessChannel(RamDistribution(weights), cfg.train.seeds.ram)
     echo_path = cfg.output_dir / "config_echo.ini"
     write_config_echo(cfg, echo_path)
     metrics_path = cfg.output_dir / "metrics.csv"

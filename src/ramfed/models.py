@@ -113,52 +113,60 @@ def init_params(arch: ModelArch, seed: int) -> ModelParams:
 
 
 def split_layers(arch: ModelArch, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the flat vector, or of each row of an (S, P) stack, as per-layer
-    (W, b) pairs; the one statement of the layout."""
-    lead = values.shape[:-1]
+    """Views of a flat vector as per-layer (W, b) pairs; the one statement of the layout."""
     layers = []
     offset = 0
     for fan_in, fan_out in arch.layer_dims():
-        w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
         offset += fan_in * fan_out
-        b = values[..., offset : offset + fan_out]
+        layers.append((w, values[offset : offset + fan_out]))
         offset += fan_out
-        layers.append((w, b))
     return layers
 
 
 def _forward_pass(layers: list[tuple[np.ndarray, np.ndarray]],
                   features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The input to each weight layer and the logits; ReLU on hidden layers.
-    Stacked layers take (S, rows, fan_in) features, one matmul over the stack."""
-    features = np.asarray(features, dtype=np.float64)
-    fan_in = layers[0][0].shape[-2]
-    if features.ndim != layers[0][0].ndim or features.shape[-1] != fan_in:
-        raise ValueError(f"feature matrix must be (rows, {fan_in}) per model, got {features.shape}")
+    """The input to each weight layer and the logits; ReLU on hidden layers. Unchecked."""
     activations = [features]
     for w, b in layers[:-1]:
-        activations.append(np.maximum(activations[-1] @ w + b[..., None, :], 0.0))
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
     w, b = layers[-1]
-    return activations, activations[-1] @ w + b[..., None, :]
+    return activations, activations[-1] @ w + b
 
 
-def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Logits for a feature matrix; ReLU on hidden layers."""
-    return _forward_pass(split_layers(params.arch, params.values), features)[1]
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy, stabilised with log-sum-exp."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(logits.shape[0])
-    return float(np.mean(log_norm - shifted[rows, labels]))
+def check_features(features: np.ndarray, arch: ModelArch) -> np.ndarray:
+    """The features as float64; they must be a (rows, input_dim) matrix for the architecture."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != arch.input_dim:
+        raise ValueError(f"feature matrix must be (rows, {arch.input_dim}), got {features.shape}")
+    return features
 
 
 def check_labels(labels: np.ndarray, arch: ModelArch) -> None:
     """Labels must index the architecture's classes."""
     if labels.min() < 0 or labels.max() >= arch.num_classes:
         raise ValueError("labels out of range for the architecture")
+
+
+def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Logits for a feature matrix; ReLU on hidden layers."""
+    features = check_features(features, params.arch)
+    return _forward_pass(split_layers(params.arch, params.values), features)[1]
+
+
+def _softmax_terms(logits: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy, stabilised with log-sum-exp, and the shifted
+    exponentials and their row sums, from which the backward pass forms the softmax."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    return float(np.mean(np.log(norm[:, 0]) - shifted[rows, labels])), exp, norm
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy, stabilised with log-sum-exp."""
+    return _softmax_terms(logits, labels)[0]
 
 
 def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]:
@@ -173,31 +181,27 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
     check_labels(labels, arch)
     grad = np.empty(arch.num_params)
     loss = _loss_and_grad_into(split_layers(arch, params.values), split_layers(arch, grad),
-                               batch.features, labels)
-    return float(loss), grad
+                               check_features(batch.features, arch), labels)
+    return loss, grad
 
 
-def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.ndarray):
+def _loss_and_grad_into(layers, grad_layers, features: np.ndarray, labels: np.ndarray) -> float:
     """The batch loss, its gradient written into the ``grad_layers`` views; unchecked, for views
-    made once per update. Stacked layers take (S, B, d) features and (S, B) labels: S losses."""
+    made once per update."""
     activations, logits = _forward_pass(layers, features)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    norm = exp.sum(axis=-1, keepdims=True)
-    picked = labels[..., None] == np.arange(logits.shape[-1])
-    rows = labels.shape[-1]  # np.mean's sum and division below, without its wrapper
-    loss = np.add.reduce(np.log(norm[..., 0]) - shifted[picked].reshape(labels.shape), -1) / rows
+    loss, exp, norm = _softmax_terms(logits, labels)
 
     # Backward pass from the softmax probabilities; subgradient of ReLU at 0 is 0.
+    rows = logits.shape[0]
     delta = exp / norm
-    delta[picked] -= 1.0
+    delta[np.arange(rows), labels] -= 1.0
     delta /= rows
     for i in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[i]
-        np.matmul(np.swapaxes(activations[i], -1, -2), delta, out=grad_w)
-        np.add.reduce(delta, axis=-2, out=grad_b)
+        np.matmul(activations[i].T, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if i > 0:
-            delta = (delta @ np.swapaxes(layers[i][0], -1, -2)) * (activations[i] > 0.0)
+            delta = (delta @ layers[i][0].T) * (activations[i] > 0.0)
     return loss
 
 

@@ -139,17 +139,16 @@ def composite_loss(f: float, t: float, cfg: RiskConfig) -> float:
     return (1.0 - cfg.gamma) * (t + hinge / cfg.alpha) + cfg.gamma * f
 
 
-def composite_grads(f, grad_f: np.ndarray, t, cfg: RiskConfig, out=None):
+def composite_grads(f: float, grad_f: np.ndarray, t: float, cfg: RiskConfig, out=None):
     """Subgradients of composite_loss in (theta, t).
 
     The hinge indicator is 1 for f > t and 0 otherwise; at the kink f == t
     the inactive branch is chosen, a valid subgradient pinned for
-    determinism. ``f`` and ``t`` may be length-S vectors with ``grad_f`` an
-    (S, P) stack; ``out`` (``grad_f`` itself, say) receives grad_theta.
+    determinism. ``out`` (``grad_f`` itself, say) receives grad_theta.
     """
-    h = np.greater(f, t) * 1.0
+    h = 1.0 if f > t else 0.0
     scale = (1.0 - cfg.gamma) * h / cfg.alpha + cfg.gamma
-    grad_theta = np.multiply(scale[..., None], grad_f, out=out)
+    grad_theta = np.multiply(scale, grad_f, out=out)
     grad_t = (1.0 - cfg.gamma) * (1.0 - h / cfg.alpha)
     return grad_theta, grad_t
 

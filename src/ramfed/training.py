@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, batch_indices
-from .models import (ModelParams, _loss_and_grad_into, check_labels, cross_entropy, forward,
-                     init_params, split_layers)
+from .models import (ModelParams, _loss_and_grad_into, check_features, check_labels,
+                     cross_entropy, forward, init_params, split_layers)
 from .risk import RiskConfig, composite_grads
 
 INITIAL_THRESHOLD = 0.0  # below ln C, so the hinge is active from the start
@@ -83,14 +83,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class UserShard:
-    """One user's private data: input, not state."""
-
-    user_id: int
-    data: Dataset
-
-
 @dataclass
 class RoundRecord:
     round: int
@@ -125,7 +117,7 @@ class GlobalState:
     round: int
     theta_global: ModelParams
     t_global: float
-    users: list[UserShard]
+    users: list[Dataset]  # user i's private shard
     history: RunHistory
 
 
@@ -141,7 +133,7 @@ def user_shuffle_seed(shuffle_seed: int, user_id: int) -> int:
     return int(np.random.SeedSequence([shuffle_seed, user_id]).generate_state(1)[0])
 
 
-def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
+def local_update(shard: Dataset, user_id: int, theta_in: ModelParams, t_in: float,
                  cfg: TrainConfig, epoch_offset: int = 0) -> tuple[ModelParams, float]:
     """H local epochs of joint (theta, t) SGD on one shard from the broadcast pair.
 
@@ -149,15 +141,15 @@ def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
     move simultaneously; ``epoch_offset`` keys the shuffle so batch order differs across
     rounds. Each step checks the batch loss, t and theta, the run's one divergence check,
     so NumPy's overflow and invalid-value warnings are silenced here; DivergenceError
-    names the shard's user and its first bad local epoch. Labels are :func:`train`'s to
-    check.
+    names ``user_id`` and its first bad local epoch. Features and labels are
+    :func:`train`'s to check.
     """
     arch = theta_in.arch
     theta, t = theta_in.values.copy(), float(t_in)
     grad = np.empty_like(theta)
     layers, grad_layers = split_layers(arch, theta), split_layers(arch, grad)
-    xs, ys = shard.data.features, shard.data.labels
-    seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
+    xs, ys = shard.features, shard.labels
+    seed = user_shuffle_seed(cfg.seeds.shuffle, user_id)
     batch_size = min(cfg.batch_size, len(ys))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.local_epochs):
@@ -169,7 +161,7 @@ def local_update(shard: UserShard, theta_in: ModelParams, t_in: float,
                 theta -= grad_theta
                 t -= cfg.lr_t * grad_t
                 if not (np.isfinite(f) and np.isfinite(t) and np.isfinite(theta).all()):
-                    raise DivergenceError(-1, shard.user_id, epoch)
+                    raise DivergenceError(-1, user_id, epoch)
     return ModelParams(arch, theta), float(t)
 
 
@@ -204,14 +196,14 @@ def run_round(state: GlobalState, channel, cfg: TrainConfig) -> GlobalState:
     theta_g, t_g = state.theta_global, state.t_global
     if state.round > 0:
         try:
-            theta_g, t_g = local_update(shard, theta_g, t_g, cfg,
+            theta_g, t_g = local_update(shard, selected, theta_g, t_g, cfg,
                                         (state.round - 1) * cfg.local_epochs)
         except DivergenceError as err:
             err.round_index = state.round
             err.history = state.history
             raise
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loss is logged as is
-        train_loss = shard_loss(theta_g, shard.data)
+        train_loss = shard_loss(theta_g, shard)
 
     state.theta_global, state.t_global = theta_g, t_g
     state.round += 1
@@ -231,14 +223,15 @@ def train(datasets: list[Dataset], channel, cfg: TrainConfig,
 
     ``channel`` is any object with ``relay(num_candidates) -> index``, asked each
     round which of the K = ``len(datasets)`` users gets through. Each shard's
-    labels are checked against ``cfg.arch`` once, before the first relay.
+    features and labels are checked against ``cfg.arch`` once, before the first relay.
     Every user starts from the identical (theta, t) pair. The history is a
     pure function of (datasets, the channel's relays, cfg).
     """
     for data in datasets:
+        check_features(data.features, cfg.arch)
         check_labels(data.labels, cfg.arch)
     state = GlobalState(0, init_params(cfg.arch, cfg.seeds.init), INITIAL_THRESHOLD,
-                        [UserShard(i, ds) for i, ds in enumerate(datasets)], RunHistory())
+                        list(datasets), RunHistory())
 
     for _ in range(cfg.global_rounds):
         run_round(state, channel, cfg)

@@ -14,7 +14,7 @@ from ramfed import charts
 from ramfed.data import gen_synthetic_2d
 from ramfed.models import LOGREG, MLP, ModelArch, forward, init_params
 from ramfed.risk import RiskConfig
-from ramfed.training import Seeds, TrainConfig, UserShard, local_update
+from ramfed.training import Seeds, TrainConfig, local_update
 
 GRID = 100
 SVG_RECT = "{http://www.w3.org/2000/svg}rect"
@@ -44,7 +44,7 @@ def test_regions_equal_argmax_on_the_mesh(tmp_path, arch):
     cfg = TrainConfig(arch, global_rounds=1, local_epochs=20, batch_size=16, lr_theta=0.5,
                       lr_t=0.0, risk=RiskConfig(1.0, 1.0), seeds=Seeds(1, 2, 3))
     start = init_params(arch, 1)
-    params, _ = local_update(UserShard(0, data), start, 0.0, cfg)
+    params, _ = local_update(data, 0, start, 0.0, cfg)
     path = tmp_path / "decision_boundary.svg"
     charts.decision_boundary_chart(path, params, data, grid=GRID, margin=1.0)
 

@@ -312,6 +312,19 @@ def _mnist_config_line(line, named):
     return setup
 
 
+def _negative_seed(command, *rest):
+    """``command`` on the tiny config with ``--seed -1``; ``rest`` holds flags and file names."""
+    def setup(tmp_path):
+        files = [arg if arg.startswith("--") else str(tmp_path / arg) for arg in rest]
+        argv = [command, str(tiny_config(tmp_path)), *files, "--seed", "-1"]
+        return argv, "--seed must be at least 0, got -1"
+    return setup
+
+
+def _too_few_trials(command, trials):
+    return lambda _: ([command, "--trials", trials], f"--trials must be at least 1, got {trials}")
+
+
 @pytest.mark.filterwarnings("error")  # outside pytest a warning is a second stderr line
 @pytest.mark.parametrize("setup", [
     _on_idx_dir(_dir_in_place_of_labels),
@@ -329,11 +342,17 @@ def _mnist_config_line(line, named):
     _config_not_utf8,
     _mnist_config_line("subset = -5\ntest_subset = 20", "[dataset] subset "),
     _mnist_config_line("test_subset = -7", "[dataset] test_subset "),
+    _negative_seed("train"),
+    _negative_seed("eval", "model.bin"),
+    _negative_seed("gen-data", "--out", "blobs.csv"),
+    _too_few_trials("check-grad", "-1"),
+    _too_few_trials("check-cvar", "0"),
 ], ids=["idx-entry-is-a-directory", "label-byte-out-of-range", "images-10x10",
         "images-hold-labels", "zero-rows", "train-output-dir-is-a-file",
         "sweep-output-dir-is-a-file", "gen-data-out-is-a-directory", "spread-inf",
         "spread-1e308", "line-before-any-section", "malformed-line", "config-not-utf8",
-        "subset-negative", "test_subset-negative"])
+        "subset-negative", "test_subset-negative", "train-seed-negative", "eval-seed-negative",
+        "gen-data-seed-negative", "check-grad-trials-negative", "check-cvar-trials-zero"])
 def test_bad_input_is_one_named_line_and_exit_2(tmp_path, capsys, setup):
     argv, named = setup(tmp_path)
     assert main(argv) == 2

@@ -20,6 +20,7 @@ from ramfed.experiments import (
     load_config,
     metrics_header,
     parse_metrics,
+    resolve_ram_weights,
     run_experiment,
     sweep,
     write_config_echo,
@@ -308,6 +309,26 @@ class TestRunExperiment:
         # Round-trip: re-serialising the parse gives the same bytes.
         rebuilt = format_metrics(artifacts.history, 3)
         assert rebuilt == text
+
+    def test_channel_holds_the_resolved_weights(self, tmp_path, monkeypatch):
+        # tail_three at K = 10: normalizing these weights a second time moves every one.
+        text = tiny_config(tmp_path, rounds=1).read_text().replace("num_users = 3", "num_users = 10")
+        config = tmp_path / "tail_three.ini"
+        config.write_text(text.replace("kind = explicit\nweights = 0.5, 0.4, 0.1",
+                                       "kind = tail_three"))
+        channels = []
+
+        def recording_train(shards, channel, *args, **kwargs):
+            channels.append(channel)
+            return real_train(shards, channel, *args, **kwargs)
+
+        real_train = experiments.train
+        monkeypatch.setattr(experiments, "train", recording_train)
+        cfg = load_config(config)
+        run_experiment(cfg)
+        weights = resolve_ram_weights(cfg)
+        assert weights.size == 10
+        assert channels[0]._ram.weights.tobytes() == weights.tobytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tiny_config(tmp_path)

@@ -146,6 +146,16 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             loss_and_grad(params, Batch(np.zeros((1, 2)), np.array([3])))
 
+    @pytest.mark.parametrize("arch", [ModelArch(LOGREG, 4, 3), ModelArch(MLP, 4, 3, (5, 2))],
+                             ids=["logreg", "mlp"])
+    def test_loss_is_the_cross_entropy_of_forward(self, arch):
+        rng = np.random.default_rng(6)
+        for trial in range(20):
+            params = init_params(arch, trial)
+            batch = random_batch(rng, 4, 3, rows=1 if trial < 5 else int(rng.integers(2, 40)))
+            loss, _ = loss_and_grad(params, batch)
+            assert loss == cross_entropy(forward(params, batch.features), batch.labels)
+
     def test_shift_invariance_of_cross_entropy(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((8, 5))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramfed.channel import RandomAccessChannel, make_ram
+from ramfed.channel import RamDistribution, RandomAccessChannel, make_ram
 from ramfed.data import Dataset
 from ramfed.experiments import build_datasets, load_config, resolve_ram_weights
 from ramfed.models import LOGREG, MLP, ModelArch
@@ -66,7 +66,7 @@ def reference_replay(path: Path, rounds: int):
 def program_run(path: Path, rounds: int):
     cfg = load_config(path)
     shards, _, _ = build_datasets(cfg)
-    channel = RandomAccessChannel(make_ram(resolve_ram_weights(cfg)), cfg.train.seeds.ram)
+    channel = RandomAccessChannel(RamDistribution(resolve_ram_weights(cfg)), cfg.train.seeds.ram)
     state, history = train(shards, channel, replace(cfg.train, global_rounds=rounds))
     return history, state.theta_global.values
 

@@ -18,7 +18,6 @@ from ramfed.training import (
     RunHistory,
     Seeds,
     TrainConfig,
-    UserShard,
     evaluate,
     local_update,
     run_round,
@@ -97,8 +96,7 @@ class TestLocalUpdate:
         shards, _ = fig_fixture()
         cfg = make_config(lr_theta=0.0, lr_t=0.0)
         start = init_params(ARCH3, 5)
-        shard = UserShard(0, shards[0])
-        out_params, out_t = local_update(shard, start, 0.4, cfg)
+        out_params, out_t = local_update(shards[0], 0, start, 0.4, cfg)
         assert np.array_equal(out_params.values, start.values)
         assert out_t == 0.4
 
@@ -106,8 +104,7 @@ class TestLocalUpdate:
         shards, _ = fig_fixture()
         cfg = make_config(alpha=0.3, gamma=1.0, epochs=2)
         start = init_params(ARCH3, 5)
-        shard = UserShard(1, shards[1])
-        out_params, out_t = local_update(shard, start, 0.7, cfg)
+        out_params, out_t = local_update(shards[1], 1, start, 0.7, cfg)
         assert out_t == 0.7
 
         theta = start.values.copy()
@@ -126,8 +123,7 @@ class TestLocalUpdate:
         start = ModelParams(arch, np.zeros(arch.num_params))
         cfg = make_config(alpha=0.5, gamma=0.2, epochs=1, batch=1,
                           lr_theta=0.1, lr_t=0.01, arch=arch)
-        shard = UserShard(0, data)
-        out_params, out_t = local_update(shard, start, 0.3, cfg)
+        out_params, out_t = local_update(data, 0, start, 0.3, cfg)
 
         grad_hand = np.array([-0.5, 0.5, -1.0, 1.0, -0.5, 0.5])
         scale = (1.0 - 0.2) * 1.0 / 0.5 + 0.2
@@ -140,25 +136,24 @@ class TestLocalUpdate:
         shards, _ = fig_fixture()
         cfg = make_config()
         start = init_params(ARCH3, 5)
-        shard = UserShard(2, shards[2])
-        a_params, a_t = local_update(shard, start, 0.0, cfg, epoch_offset=6)
-        b_params, b_t = local_update(shard, start, 0.0, cfg, epoch_offset=6)
+        a_params, a_t = local_update(shards[2], 2, start, 0.0, cfg, epoch_offset=6)
+        b_params, b_t = local_update(shards[2], 2, start, 0.0, cfg, epoch_offset=6)
         assert np.array_equal(a_params.values, b_params.values)
         assert a_t == b_t
 
 
-def reference_update(shard, theta_in, t_in, cfg, epoch_offset):
+def reference_update(shard, user_id, theta_in, t_in, cfg, epoch_offset):
     """Independent step loop over the public pieces: batches, loss_and_grad, composite_grads.
 
     Returns ((theta, t), None), or (None, epoch) for the local epoch of the
     first step whose loss, t or theta is non-finite.
     """
     theta, t = theta_in.values.copy(), t_in
-    seed = user_shuffle_seed(cfg.seeds.shuffle, shard.user_id)
-    size = min(cfg.batch_size, len(shard.data))
+    seed = user_shuffle_seed(cfg.seeds.shuffle, user_id)
+    size = min(cfg.batch_size, len(shard))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.local_epochs):
-            for batch in batches(shard.data, size, seed, epoch_offset + epoch):
+            for batch in batches(shard, size, seed, epoch_offset + epoch):
                 f, grad_f = loss_and_grad(ModelParams(cfg.arch, theta), batch)
                 grad_theta, grad_t = composite_grads(f, grad_f, t, cfg.risk)
                 theta = theta - cfg.lr_theta * grad_theta
@@ -177,15 +172,15 @@ class TestStepOracle:
         cfg = make_config(alpha=0.3, gamma=gamma, epochs=3, batch=5, lr_theta=lr_theta,
                           lr_t=0.3, arch=arch)
         start = init_params(arch, 5)
-        shard = UserShard(2, gen_synthetic_2d(3, 5, 0.6, 4).take(np.arange(13)))
+        shard = gen_synthetic_2d(3, 5, 0.6, 4).take(np.arange(13))
         return shard, start, cfg
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("arch", [ARCH3, ModelArch(MLP, 2, 3, (4, 2))], ids=["logreg", "mlp"])
     def test_matches_reference_bit_for_bit(self, arch, gamma):
         shard, start, cfg = self.case(arch, gamma, lr_theta=0.4)
-        (theta, t), diverged = reference_update(shard, start, 0.9, cfg, epoch_offset=7)
-        out_params, out_t = local_update(shard, start, 0.9, cfg, epoch_offset=7)
+        (theta, t), diverged = reference_update(shard, 2, start, 0.9, cfg, epoch_offset=7)
+        out_params, out_t = local_update(shard, 2, start, 0.9, cfg, epoch_offset=7)
         assert diverged is None
         assert out_params.values.tobytes() == theta.tobytes()
         assert out_t == t
@@ -193,10 +188,10 @@ class TestStepOracle:
 
     def test_divergence_matches_reference(self):
         shard, start, cfg = self.case(ModelArch(MLP, 2, 3, (4, 2)), 0.3, lr_theta=1e150)
-        result, epoch = reference_update(shard, start, 0.9, cfg, epoch_offset=7)
+        result, epoch = reference_update(shard, 2, start, 0.9, cfg, epoch_offset=7)
         assert result is None
         with pytest.raises(DivergenceError) as info:
-            local_update(shard, start, 0.9, cfg, epoch_offset=7)
+            local_update(shard, 2, start, 0.9, cfg, epoch_offset=7)
         assert (info.value.user_id, info.value.epoch) == (2, epoch)
 
 
@@ -206,8 +201,8 @@ def mixed_users(lengths=(13, 13, 7, 13, 7)):
     pool = gen_synthetic_2d(3, 20, 0.6, 4)
     rows = np.random.default_rng(8).permutation(len(pool))
     users, start = [], 0
-    for user_id, n in enumerate(lengths):
-        users.append(UserShard(user_id, pool.take(rows[start : start + n])))
+    for n in lengths:
+        users.append(pool.take(rows[start : start + n]))
         start += n
     return users
 
@@ -234,8 +229,8 @@ class TestStackedUpdates:
         state = GlobalState(3, init_params(arch, 5), 0.9, users, RunHistory())
         for selected in script:
             start, epoch_offset = state.theta_global, (state.round - 1) * cfg.local_epochs
-            (theta, t), diverged = reference_update(users[selected], start, state.t_global,
-                                                    cfg, epoch_offset)
+            (theta, t), diverged = reference_update(users[selected], selected, start,
+                                                    state.t_global, cfg, epoch_offset)
             run_round(state, channel, cfg)
             assert diverged is None
             assert state.theta_global.values.tobytes() == theta.tobytes()
@@ -257,15 +252,15 @@ def eager_run(users, weights, cfg):
     for r in range(cfg.global_rounds):
         selected = channel.relay(len(users))
         theta_g, t_g = pairs[selected]
-        data = users[selected].data
+        data = users[selected]
         selections.append(selected)
         thresholds.append(t_g)
         losses.append(cross_entropy(forward(ModelParams(cfg.arch, theta_g), data.features),
                                     data.labels))
         pairs = []
-        for user in users:
-            pair, diverged = reference_update(user, ModelParams(cfg.arch, theta_g), t_g, cfg,
-                                              r * cfg.local_epochs)
+        for user_id, user in enumerate(users):
+            pair, diverged = reference_update(user, user_id, ModelParams(cfg.arch, theta_g), t_g,
+                                              cfg, r * cfg.local_epochs)
             assert diverged is None
             pairs.append(pair)
     return selections, thresholds, losses, theta_g
@@ -282,7 +277,7 @@ class TestWholeRunReplay:
                           lr_theta=0.2, lr_t=0.05, arch=arch)
         users = mixed_users()
         weights = [0.3, 0.25, 0.2, 0.15, 0.1]
-        state, history = train([u.data for u in users], ram_channel(weights, cfg), cfg)
+        state, history = train(users, ram_channel(weights, cfg), cfg)
         selections, thresholds, losses, theta = eager_run(users, weights, cfg)
         assert history.selections() == selections
         assert [r.t_global for r in history.rounds] == thresholds
@@ -329,7 +324,7 @@ class TestRunRound:
             broadcast = state.theta_global, state.t_global
             run_round(state, channel, cfg)
             if r > 0:
-                params, t = local_update(state.users[selected], *broadcast, cfg,
+                params, t = local_update(state.users[selected], selected, *broadcast, cfg,
                                          (r - 1) * cfg.local_epochs)
                 expected = params.values.tobytes(), t
             assert (state.theta_global.values.tobytes(), state.t_global) == expected
@@ -357,9 +352,9 @@ class TestRunRound:
         updated = []
         real = ramfed.training.local_update
 
-        def counting(shard, *args):
-            updated.append(shard.user_id)
-            return real(shard, *args)
+        def counting(shard, user_id, *args):
+            updated.append(user_id)
+            return real(shard, user_id, *args)
 
         monkeypatch.setattr(ramfed.training, "local_update", counting)
         shards, _ = fig_fixture()
@@ -431,6 +426,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="labels"):
             train([shards[0], shards[1], bad], channel, make_config())
         assert channel.calls == 0
+
+    def test_feature_width_checked_before_any_relay(self):
+        shards, _ = fig_fixture()
+        wide = Dataset(np.hstack([shards[1].features, shards[1].features]), shards[1].labels,
+                       ARCH3.num_classes)
+        channel = RecordingChannel([0])
+        with pytest.raises(ValueError, match="feature matrix"):
+            train([shards[0], wide, shards[2]], channel, make_config())
+        assert channel.asked == []
 
     def test_labels_checked_once_per_shard_per_run(self, monkeypatch):
         checked = []
@@ -526,7 +530,7 @@ class TestDiagnostics:
                               batch=90, lr_theta=0.01, lr_t=0.001,
                               seeds=(seed, seed + 1, seed + 2))
             state, _ = train(shards, ram_channel([0.5, 0.4, 0.1], cfg), cfg)
-            losses = [shard_loss(state.theta_global, s.data) for s in state.users]
+            losses = [shard_loss(state.theta_global, s) for s in state.users]
             return float(np.std(losses))
 
         seeds = range(10)
