@@ -6,7 +6,7 @@ risk threshold so the global model stops neglecting rarely relayed users.
 The risk-neutral baseline is the gamma = 1 special case of the same loop.
 """
 
-from .channel import RamDistribution, RandomAccessChannel, make_ram, relay, sample, skewed_weights
+from .channel import RandomAccessChannel, relay, selection_weights
 from .data import Dataset, PartitionSpec, batches, gen_synthetic_2d, parse_idx, partition_heterogeneous, write_idx
 from .models import Batch, ModelArch, ModelParams, finite_diff_grad, forward, init_params, loss_and_grad
 from .risk import (RiskConfig, composite_grads, composite_loss, cvar_discrete,

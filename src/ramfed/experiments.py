@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charts
-from .channel import (GEOMETRIC, TAIL_THREE, RamDistribution, RandomAccessChannel, make_ram,
-                      skewed_weights)
+from .channel import EXPLICIT, GEOMETRIC, TAIL_THREE, RandomAccessChannel, selection_weights
 from .data import (Dataset, InputError, PartitionSpec, check_synthetic_2d, gen_synthetic_2d,
                    load_idx_dataset, partition_heterogeneous)
 from .models import LOGREG, MLP, ModelArch, atomic_write as atomic_write_text, save_params
@@ -39,8 +38,6 @@ DATA_DIR_ENV = "RAMFED_DATA_DIR"
 SYNTHETIC = "synthetic2d"
 MNIST = "mnist"
 FASHION_MNIST = "fashionmnist"
-
-EXPLICIT = "explicit"
 
 # Offset separating the synthetic test-set stream from the train stream.
 _TEST_SEED_OFFSET = 900_001
@@ -99,7 +96,7 @@ class RunArtifacts:
     output_dir: Path
     metrics_path: Path
     echo_path: Path
-    snapshot_path: Path | None
+    snapshot_path: Path
     chart_paths: list[Path]
     history: RunHistory
 
@@ -246,12 +243,11 @@ def reseed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 def resolve_ram_weights(cfg: ExperimentConfig) -> np.ndarray:
     """The normalized selection weights the channel will use."""
-    users = cfg.partition.num_users
-    if cfg.ram.kind != EXPLICIT:
-        return make_ram(skewed_weights(users, cfg.ram.kind, cfg.ram.param)).weights
-    if len(cfg.ram.weights) != users:
-        raise ValueError(f"[ram] weights has {len(cfg.ram.weights)} entries for {users} users")
-    return make_ram(np.asarray(cfg.ram.weights)).weights
+    ram = cfg.ram
+    try:
+        return selection_weights(ram.kind, cfg.partition.num_users, ram.param, ram.weights)
+    except ValueError as err:
+        raise ValueError(f"[ram] {err}") from err
 
 
 def data_directory(cfg: ExperimentConfig) -> Path:
@@ -359,7 +355,7 @@ def write_config_echo(cfg: ExperimentConfig, path: Path) -> None:
 
 
 def emit_charts(cfg: ExperimentConfig, history: RunHistory, ram_weights: np.ndarray,
-                pooled: Dataset | None, final_params) -> list[Path]:
+                pooled: Dataset, final_params) -> list[Path]:
     out = cfg.output_dir
     paths = []
     window = cfg.smooth_window
@@ -398,7 +394,7 @@ def emit_charts(cfg: ExperimentConfig, history: RunHistory, ram_weights: np.ndar
     charts.bar_chart(path, ram_weights, "channel selection weights", "user", "probability")
     paths.append(path)
 
-    if pooled is not None and pooled.features.shape[1] == 2 and final_params is not None:
+    if pooled.features.shape[1] == 2:
         path = out / "decision_boundary.svg"
         charts.decision_boundary_chart(path, final_params, pooled)
         paths.append(path)
@@ -413,7 +409,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     """
     shards, test, pooled = build_datasets(cfg)
     weights = resolve_ram_weights(cfg)
-    channel = RandomAccessChannel(RamDistribution(weights), cfg.train.seeds.ram)
+    channel = RandomAccessChannel(weights, cfg.train.seeds.ram)
     echo_path = cfg.output_dir / "config_echo.ini"
     write_config_echo(cfg, echo_path)
     metrics_path = cfg.output_dir / "metrics.csv"

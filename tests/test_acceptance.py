@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ramfed.channel import RandomAccessChannel, TAIL_THREE, make_ram, sample, skewed_weights
+from ramfed.channel import EXPLICIT, TAIL_THREE, RandomAccessChannel, selection_weights
 from ramfed.cli import check_cvar, check_grad
 from ramfed.data import (
     PartitionSpec,
@@ -45,6 +45,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 FIG2A = dict(spread=1.0, per_class=300, batch=300, lr_theta=3e-5, lr_t=3e-5,
              rounds=2000, epochs=5)
 SKEW = [0.5, 0.4, 0.1]
+SKEW_WEIGHTS = selection_weights(EXPLICIT, len(SKEW), weights=SKEW)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -62,7 +63,7 @@ def synthetic_run(seed: int, alpha: float, gamma: float, rounds=None):
         batch_size=fx["batch"], lr_theta=fx["lr_theta"], lr_t=fx["lr_t"],
         risk=RiskConfig(alpha, gamma), seeds=Seeds(seed, seed + 1, seed + 2),
     )
-    state, _ = train(shards, RandomAccessChannel(make_ram(SKEW), cfg.seeds.ram), cfg)
+    state, _ = train(shards, RandomAccessChannel(SKEW_WEIGHTS, cfg.seeds.ram), cfg)
     return evaluate(state.theta_global, test).per_class_acc
 
 
@@ -123,7 +124,7 @@ def test_risk_neutral_trajectory_matches_reference_fedavg():
     )
 
     # Engine path, round by round, recording the global vector each round.
-    channel = RandomAccessChannel(make_ram(SKEW), cfg.seeds.ram)
+    channel = RandomAccessChannel(SKEW_WEIGHTS, cfg.seeds.ram)
     state, _ = train(shards, channel, replace(cfg, global_rounds=0))
     engine_trajectory = []
     for _ in range(rounds):
@@ -280,12 +281,12 @@ def test_selection_statistics():
     """Empirical relay frequencies within binomial bounds; lag-1 independence."""
     start = time.perf_counter()
     n = 100_000
-    ram = make_ram(skewed_weights(30, TAIL_THREE, 0.9))
-    rng = np.random.default_rng(2027)
-    draws = np.array([sample(ram, rng) for _ in range(n)])
+    weights = selection_weights(TAIL_THREE, 30, 0.9)
+    channel = RandomAccessChannel(weights, 2027)
+    draws = np.array([channel.relay(30) for _ in range(n)])
     freq = np.bincount(draws, minlength=30) / n
-    bound = 3.0 * np.sqrt(ram.weights * (1.0 - ram.weights) / n)
-    gaps = np.abs(freq - ram.weights)
+    bound = 3.0 * np.sqrt(weights * (1.0 - weights) / n)
+    gaps = np.abs(freq - weights)
     within = bool(np.all(gaps <= bound))
 
     table = np.zeros((30, 30))

@@ -46,3 +46,4 @@ def test_tracer_still_wraps_the_program(tmp_path):
     metrics = json.loads(result.stdout.splitlines()[-1])
     assert metrics["training.run_round.calls"] == 2
     assert metrics["training.local_update.calls"] == 1
+    assert metrics["channel.relay.calls"] == 2

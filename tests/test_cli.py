@@ -340,6 +340,11 @@ def _too_few_trials(command, trials):
     _config_text(lambda text: "kind = synthetic2d\n" + text, str),
     _config_text(lambda text: text + "a line without a value\n", str),
     _config_not_utf8,
+    _config_text(lambda text: text.replace("kind = explicit\nweights = 0.5, 0.4, 0.1",
+                                           "kind = geometric\nparam = 1.5"),
+                 lambda _: "[ram] param = 1.5"),
+    _config_text(lambda text: text.replace("weights = 0.5, 0.4, 0.1", "weights = 0, 0, 0"),
+                 lambda _: "[ram] weights"),
     _mnist_config_line("subset = -5\ntest_subset = 20", "[dataset] subset "),
     _mnist_config_line("test_subset = -7", "[dataset] test_subset "),
     _negative_seed("train"),
@@ -351,6 +356,7 @@ def _too_few_trials(command, trials):
         "images-hold-labels", "zero-rows", "train-output-dir-is-a-file",
         "sweep-output-dir-is-a-file", "gen-data-out-is-a-directory", "spread-inf",
         "spread-1e308", "line-before-any-section", "malformed-line", "config-not-utf8",
+        "geometric-param-1.5", "explicit-weights-all-zero",
         "subset-negative", "test_subset-negative", "train-seed-negative", "eval-seed-negative",
         "gen-data-seed-negative", "check-grad-trials-negative", "check-cvar-trials-zero"])
 def test_bad_input_is_one_named_line_and_exit_2(tmp_path, capsys, setup):

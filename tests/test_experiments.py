@@ -328,7 +328,7 @@ class TestRunExperiment:
         run_experiment(cfg)
         weights = resolve_ram_weights(cfg)
         assert weights.size == 10
-        assert channels[0]._ram.weights.tobytes() == weights.tobytes()
+        assert channels[0].cum_weights.tobytes() == np.cumsum(weights).tobytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tiny_config(tmp_path)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramfed.channel import RamDistribution, RandomAccessChannel, make_ram
+from ramfed.channel import EXPLICIT, RandomAccessChannel, selection_weights
 from ramfed.data import Dataset
 from ramfed.experiments import build_datasets, load_config, resolve_ram_weights
 from ramfed.models import LOGREG, MLP, ModelArch
@@ -66,7 +66,7 @@ def reference_replay(path: Path, rounds: int):
 def program_run(path: Path, rounds: int):
     cfg = load_config(path)
     shards, _, _ = build_datasets(cfg)
-    channel = RandomAccessChannel(RamDistribution(resolve_ram_weights(cfg)), cfg.train.seeds.ram)
+    channel = RandomAccessChannel(resolve_ram_weights(cfg), cfg.train.seeds.ram)
     state, history = train(shards, channel, replace(cfg.train, global_rounds=rounds))
     return history, state.theta_global.values
 
@@ -120,7 +120,9 @@ def test_random_tiny_runs_match_reference_replay(run):
     shards, weights, cfg = run
     arch, risk, rounds = cfg.arch, cfg.risk, cfg.global_rounds
     datasets = [Dataset(x, y, arch.num_classes) for x, y in shards]
-    state, history = train(datasets, RandomAccessChannel(make_ram(weights), cfg.seeds.ram), cfg)
+    channel = RandomAccessChannel(selection_weights(EXPLICIT, weights.size, weights=weights),
+                                  cfg.seeds.ram)
+    state, history = train(datasets, channel, cfg)
 
     selections = reference.replay_selections(weights / weights.sum(), cfg.seeds.ram, rounds)
     trace, theta_ref = reference.replay_rounds(shards, {

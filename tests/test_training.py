@@ -6,7 +6,7 @@ import pytest
 
 import ramfed.channel
 import ramfed.training
-from ramfed.channel import RandomAccessChannel, make_ram
+from ramfed.channel import EXPLICIT, RandomAccessChannel, selection_weights
 from ramfed.data import Dataset, PartitionSpec, batches, gen_synthetic_2d, partition_heterogeneous
 from ramfed.models import (LOGREG, MLP, ModelArch, ModelParams, cross_entropy, forward,
                            init_params, loss_and_grad)
@@ -48,7 +48,8 @@ def fig_fixture(seed=11, per_class=60, spread=0.4):
 
 def ram_channel(weights, cfg):
     """The channel a run over these raw weights relays through."""
-    return RandomAccessChannel(make_ram(weights), cfg.seeds.ram)
+    return RandomAccessChannel(selection_weights(EXPLICIT, len(weights), weights=weights),
+                               cfg.seeds.ram)
 
 
 class ScriptedChannel:
@@ -495,7 +496,8 @@ class TestChannelOpacity:
     def test_training_source_never_reads_weights(self):
         source = inspect.getsource(ramfed.training)
         assert ".weights" not in source
-        assert "RamDistribution" not in source
+        assert "selection_weights" not in source
+        assert "cum_weights" not in source
 
     def test_training_holds_nothing_from_the_channel_module(self):
         held = [name for name, value in vars(ramfed.training).items()
